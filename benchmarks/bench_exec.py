@@ -37,7 +37,7 @@ def test_exec_serial(benchmark):
 
 
 def test_exec_parallel_two_workers(benchmark):
-    """Executor pool path (jobs=2) over the same graph."""
+    """Parallel path (jobs=2, forked worker processes) over the same graph."""
     graph = _plan()
     report = run_once(benchmark, execute, graph.specs, jobs=2)
     assert report.executed == len(graph)

@@ -16,7 +16,7 @@ Public API overview
 * :mod:`repro.energy` — event-based energy model.
 * :mod:`repro.sim` — system assembly, metrics, cached runner.
 * :mod:`repro.exec` — parallel execution engine (job-graph planning,
-  worker pool, progress telemetry).
+  batch execution on the job scheduler, progress telemetry).
 * :mod:`repro.experiments` — one harness per paper table/figure.
 
 Quickstart::

@@ -39,7 +39,7 @@ from typing import Iterator, List, Optional
 
 from .core.variants import DESIGNS
 from .engine import DEFAULT_ENGINE, ENGINES
-from .exec.pool import DEFAULT_RETRIES, DEFAULT_TIMEOUT_S
+from .exec.batch import DEFAULT_RETRIES, DEFAULT_TIMEOUT_S
 from .experiments.registry import EXPERIMENTS, experiment_ids, run_experiment
 from .service import protocol as service_protocol
 from .sim.runner import run_workload
@@ -532,21 +532,6 @@ def _env_override(name: str, value: str) -> Iterator[None]:
             os.environ[name] = previous
 
 
-def _pre_execute(ids: List[str], refs: Optional[int], jobs: int,
-                 timeout: Optional[float], retries: int, log=None) -> None:
-    """Plan the experiments' job graph and warm the cache in parallel."""
-    from .exec import ProgressLine, execute, plan_experiments
-
-    graph = plan_experiments(ids, references=refs)
-    if not graph.specs:
-        return
-    print(f"planned {graph.demanded} runs -> {len(graph)} unique "
-          f"({graph.deduplicated} deduplicated)", file=sys.stderr)
-    report = execute(graph.specs, jobs=jobs, timeout_s=timeout,
-                     retries=retries, progress=ProgressLine(), log=log)
-    print(report.summary(), file=sys.stderr)
-
-
 def _run_parallel(args, ids: List[str], use_cache: bool) -> None:
     """``repro run --jobs N`` (or ``--log-json``): plan / execute /
     tabulate.
@@ -565,13 +550,12 @@ def _run_parallel(args, ids: List[str], use_cache: bool) -> None:
                 tempfile.TemporaryDirectory(prefix="repro-exec-"))
             stack.enter_context(_env_override("REPRO_CACHE_DIR", scratch))
             stack.enter_context(_env_override("REPRO_NO_CACHE", "0"))
-        log = None
-        if args.log_json is not None:
-            from .exec import JsonlLog
+        from .exec import JsonlLog, plan_and_execute
 
-            log = stack.enter_context(JsonlLog(args.log_json))
-        _pre_execute(ids, args.refs, args.jobs, args.timeout, args.retries,
-                     log=log)
+        log = (stack.enter_context(JsonlLog(args.log_json))
+               if args.log_json is not None else None)
+        plan_and_execute(dict.fromkeys(ids, args.refs), args.jobs,
+                         args.timeout, args.retries, log=log)
         _run_experiments(ids, args.refs, True, args.chart, args.save)
 
 
@@ -703,7 +687,7 @@ def _serve_command(args) -> int:
                   f"store={server.store.directory}{scrape}) -- "
                   f"Ctrl-C drains in-flight jobs and exits",
                   file=sys.stderr, flush=True)
-            await server.serve_until_closed()
+            await server.wait_closed()
 
         asyncio.run(amain())
     return 0
@@ -1132,9 +1116,9 @@ def _stats_command(args) -> int:
     print(f"workload={metrics.workload} design={metrics.design} "
           f"references={metrics.references}")
     if not metrics.stats:
-        print("no statistics in this cached result -- it predates "
-              "CODE_VERSION 9; re-run with --no-cache (or clear the "
-              "cache entry) to populate the stats tree.")
+        print("no statistics in this cached result -- it was stored "
+              "without a stats tree; re-run with --no-cache (or clear the "
+              "cache entry) to populate it.")
         return 1
     print(render_stats(metrics.stats))
     wants_timeline = (args.timeline or args.timeline_csv

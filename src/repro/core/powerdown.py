@@ -109,10 +109,6 @@ class PowerDownController:
         """True when a group's slow region has been gated."""
         return (flat_bank, group) in self._gated
 
-    def gated_groups(self) -> int:
-        """Number of currently power-gated migration groups."""
-        return len(self._gated)
-
     def background_power_saving_fraction(self) -> float:
         """Fraction of total array background power now gated."""
         org = self.manager.organization

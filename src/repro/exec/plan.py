@@ -10,14 +10,14 @@ run shared by several figures (notably the ``standard`` baseline every
 improvement table divides by) appears exactly once no matter how many
 experiments demand it.
 
-The graph is then handed to :func:`repro.exec.pool.execute`, after which
+The graph is then handed to :func:`repro.exec.batch.execute`, after which
 re-running the experiment harnesses is pure cache recall.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from ..common.config import AsymmetricConfig, ControllerConfig
 from ..sim.metrics import RunMetrics
@@ -28,8 +28,9 @@ from ..sim.runner import run_cache_key, run_workload
 class RunSpec:
     """One plannable simulation: the arguments of ``run_workload``.
 
-    Specs are value objects: hashable, picklable (they cross process
-    boundaries on their way to pool workers) and cheap to compare.
+    Specs are value objects: hashable, wire-serialisable (they cross
+    process boundaries on their way to workers, see
+    :mod:`repro.service.protocol`) and cheap to compare.
     ``references=None`` means "the runner's default length for this
     workload kind", exactly as it does for ``run_workload``.
     """
@@ -48,11 +49,16 @@ class RunSpec:
                              self.seed, self.asym, self.controller,
                              engine=self.engine)
 
-    def run(self, use_cache: bool = True) -> RunMetrics:
-        """Execute (or recall) this spec through the cached runner."""
+    def run(self, use_cache: bool = True, **options) -> RunMetrics:
+        """Execute (or recall) this spec through the cached runner.
+
+        ``options`` pass through to ``run_workload`` (``timeline``,
+        ``on_window``, ``trace_id``).
+        """
         return run_workload(self.workload, self.design, self.references,
                             self.seed, self.asym, self.controller,
-                            use_cache=use_cache, engine=self.engine)
+                            use_cache=use_cache, engine=self.engine,
+                            **options)
 
     def describe(self) -> str:
         """Short human label for progress lines and error messages."""
@@ -127,4 +133,17 @@ def plan_experiments(
     for experiment_id in experiment_ids:
         graph.add_all(plan_experiment(experiment_id, references=references,
                                       workloads=workloads))
+    return graph
+
+
+def plan_references(references: Mapping[str, Optional[int]]) -> JobGraph:
+    """:func:`plan_experiments` with its own run length per experiment.
+
+    ``references`` maps experiment id to length (``None`` = harness
+    default), as ``repro validate`` scales do.
+    """
+    graph = JobGraph()
+    for experiment_id, refs in references.items():
+        graph.add_all(plan_experiments([experiment_id],
+                                       references=refs).specs)
     return graph

@@ -1,16 +1,30 @@
-"""Structured executor telemetry as JSON lines.
+"""Structured execution telemetry as JSON lines.
 
-``repro run --log-json run.jsonl`` attaches a :class:`JsonlLog` to the
-worker pool.  Every batch event becomes one self-contained JSON object
-per line — machine-parseable with nothing more than ``json.loads`` per
-line — with a trailing ``summary`` record mirroring
-:class:`repro.exec.pool.ExecutionReport`:
+``repro run --log-json run.jsonl`` and ``repro serve --log-json
+serve.jsonl`` attach a :class:`JsonlLog` to the job scheduler
+(:mod:`repro.service.scheduler`).  Every event becomes one
+self-contained JSON object per line — machine-parseable with nothing
+more than ``json.loads`` per line.  There is one vocabulary:
 
-* ``cache_hit`` — a spec satisfied straight from the disk cache;
-* ``run`` — one simulated spec: wall time, worker pid, attempt number;
-* ``failure`` — one failed attempt (crash, exception or timeout) with
-  its reason and whether it will retry;
-* ``summary`` — end-of-batch totals.
+* ``job_queued`` / ``job_started`` / ``job_result`` / ``job_failure`` /
+  ``job_cancelled`` — the job lifecycle.  ``job_started`` is one
+  attempt handed to a worker (``attempt``, worker pid ``worker``);
+  ``job_result`` carries ``wall_s``, ``worker``, ``attempt`` and
+  ``from_store`` (``execute`` also writes one ``from_store: true``
+  record per spec recalled from the store before any job exists);
+  ``job_failure`` is one failed attempt with its ``reason`` and
+  ``will_retry``.  Each carries the job's ``trace`` correlation id,
+  the same id the client's frames and the worker's events show;
+* ``summary`` — the closing record of an ``execute`` batch, mirroring
+  :class:`repro.exec.batch.ExecutionReport` (CI reads it);
+* server only: ``serve_start`` / ``serve_stop`` (lifecycle, bind
+  address, warm-store entry count, end-of-life counters),
+  ``client_connected`` / ``client_disconnected``, ``request`` (one
+  submit: kind, spec totals, how many coalesced or were answered from
+  the store), ``metrics_http`` (the --metrics-port endpoint came up),
+  ``trace_written`` / ``trace_write_failed`` (the --trace-out export);
+* ``internal_error`` — a scheduler bug surfaced by a job task;
+* ``bench`` / ``profile`` — ``repro bench --log-json`` records.
 
 Every record carries two clocks: ``ts`` (wall time, ``time.time()``,
 for correlating with the outside world) and ``mono``
@@ -29,7 +43,7 @@ from typing import Optional, TextIO
 
 
 class JsonlLog:
-    """Append structured executor events to a JSON-lines stream."""
+    """Append structured execution events to a JSON-lines stream."""
 
     def __init__(self, path: Optional[str] = None,
                  stream: Optional[TextIO] = None) -> None:
@@ -42,7 +56,7 @@ class JsonlLog:
         """Write one event line (stamps both clocks: ``ts`` + ``mono``).
 
         The parameter is ``name`` rather than ``kind`` because callers
-        (notably the job server) log records that themselves carry a
+        (notably the job scheduler) log records that themselves carry a
         ``kind`` field — it must stay usable as a keyword.
         """
         record: dict = {"event": name, "ts": time.time(),
@@ -50,26 +64,6 @@ class JsonlLog:
         record.update(fields)
         self._stream.write(json.dumps(record) + "\n")
         self._stream.flush()
-
-    # ------------------------------------------------------------------
-    # Executor event vocabulary
-    # ------------------------------------------------------------------
-
-    def cache_hit(self, key: str, spec: str) -> None:
-        """Record one cache-hit event."""
-        self.event("cache_hit", key=key, spec=spec)
-
-    def run(self, key: str, spec: str, wall_s: float, worker: int,
-            attempt: int) -> None:
-        """Record one completed simulation event."""
-        self.event("run", key=key, spec=spec, wall_s=round(wall_s, 4),
-                   worker=worker, attempt=attempt)
-
-    def failure(self, key: str, spec: str, reason: str, attempt: int,
-                will_retry: bool) -> None:
-        """Record one worker-failure event."""
-        self.event("failure", key=key, spec=spec, reason=reason,
-                   attempt=attempt, will_retry=will_retry)
 
     def profile(self, label: str, path: str, hot: list) -> None:
         """Record a cProfile capture: its pstats path + top hot functions.
@@ -80,28 +74,6 @@ class JsonlLog:
         the pstats dump.
         """
         self.event("profile", label=label, path=path, hot=hot)
-
-    # ------------------------------------------------------------------
-    # Service event vocabulary (``repro serve --log-json``)
-    # ------------------------------------------------------------------
-    # The job server (:class:`repro.service.server.ReproServer`) logs
-    # through ``event`` directly; these names document its vocabulary so
-    # one grep finds both producers and consumers:
-    #
-    # * ``serve_start`` / ``serve_stop`` — lifecycle, bind address,
-    #   warm-store entry count, end-of-life counters;
-    # * ``client_connected`` / ``client_disconnected`` — per socket;
-    # * ``request`` — one submit: kind, spec totals, how many coalesced
-    #   or were answered from the store;
-    # * ``job_queued`` / ``job_started`` / ``job_result`` /
-    #   ``job_failure`` / ``job_cancelled`` — job lifecycle (mirrors the
-    #   executor's run/failure records, plus queue-only states); each
-    #   carries the job's ``trace`` correlation id, the same id the
-    #   client's ack frames and the worker's stdout events show;
-    # * ``metrics_http`` — the --metrics-port scrape endpoint came up;
-    # * ``trace_written`` / ``trace_write_failed`` — the --trace-out
-    #   Chrome-trace export at shutdown;
-    # * ``internal_error`` — a scheduler bug surfaced by a job task.
 
     def summary(self, report) -> None:
         """End-of-batch record mirroring ``ExecutionReport.summary()``."""

@@ -48,8 +48,8 @@ class Experiment(NamedTuple):
 
     ``plan`` (when present) enumerates the :class:`RunSpec` simulations
     the harness will demand, given the same ``references``/``workloads``
-    overrides; the execution engine uses it to pre-run experiments across
-    a worker pool so the harness itself becomes pure cache recall.
+    overrides; the execution engine uses it to pre-run experiments on
+    worker processes so the harness itself becomes pure cache recall.
     """
 
     run: Callable[..., ExperimentResult]

@@ -16,7 +16,7 @@ results snapshot stand in for a live run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 
 @dataclass
@@ -74,10 +74,6 @@ class ExperimentResult:
         fact = Fact(name, value, unit, paper, note)
         self.facts[name] = fact
         return fact
-
-    def fact_value(self, name: str) -> float:
-        """The numeric value of one fact (KeyError when absent)."""
-        return self.facts[name].value
 
     def column(self, name: str) -> List[object]:
         """All values of one column, in row order."""

@@ -22,8 +22,8 @@ Built on :mod:`repro.common.statistics`:
 * :mod:`repro.obs.report` — the self-contained HTML report built from
   the ledger (``repro report``).
 
-Executor telemetry (structured JSON-lines run logs) lives next to the
-worker pool in :mod:`repro.exec.telemetry`.
+Execution telemetry (structured JSON-lines run logs) lives next to the
+executor in :mod:`repro.exec.telemetry`.
 """
 
 from .capture import trace_workload

@@ -47,9 +47,10 @@ import json
 import os
 import sqlite3
 import time
-import uuid
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
+
+from .tracer import new_trace_id
 
 #: Bump when the table layout changes (stored in ``PRAGMA user_version``).
 #: v2 added the ``engine`` column to ``runs`` (interp vs compiled).
@@ -59,12 +60,12 @@ SCHEMA_VERSION = 2
 NO_LEDGER_ENV = "REPRO_NO_LEDGER"
 
 #: Environment override for the origin recorded by the runner choke
-#: point.  An env var (not a module global) so the offline pool's
-#: worker subprocesses inherit it.
+#: point.  An env var (not a module global) so the scheduler's worker
+#: processes inherit it.
 ORIGIN_ENV = "REPRO_LEDGER_ORIGIN"
 
 #: The origin vocabulary (callers may mint others; these are the known
-#: writers): ``run`` CLI/offline-pool simulations, ``service`` job-server
+#: writers): ``run`` CLI/``execute`` simulations, ``service`` job-server
 #: workers, ``perf`` baseline scenarios, ``validate`` ledger checks.
 ORIGINS = ("run", "service", "perf", "validate")
 
@@ -126,11 +127,6 @@ _RUN_COLUMNS = (
 )
 
 
-def new_trace_id() -> str:
-    """A fresh correlation id (same shape the job server mints)."""
-    return "t" + uuid.uuid4().hex[:12]
-
-
 def ledger_path() -> Path:
     """The database location: ``<store root>/ledger.db``."""
     from ..service.store import store_root
@@ -152,7 +148,7 @@ class ledger_origin:
     """Context manager scoping :func:`current_origin` to ``origin``.
 
     Implemented over an environment variable so subprocesses forked or
-    spawned inside the scope (the offline pool's workers) inherit it.
+    spawned inside the scope (``execute``'s workers) inherit it.
     """
 
     def __init__(self, origin: str) -> None:

@@ -147,12 +147,6 @@ SCENARIOS: Dict[str, PerfScenario] = {
 }
 
 
-def scenario_names(engine: Optional[str] = None) -> List[str]:
-    """Scenario names, optionally filtered by engine tag."""
-    return [name for name, scenario in SCENARIOS.items()
-            if engine is None or scenario.engine == engine]
-
-
 @dataclass
 class PerfFinding:
     """One baseline violation discovered by :func:`check`."""

@@ -20,6 +20,7 @@ Exports:
 from __future__ import annotations
 
 import json
+import os
 from collections import deque
 from typing import Dict, List, NamedTuple, Optional
 
@@ -39,6 +40,15 @@ class TraceEvent(NamedTuple):
 TRANSLATION_TID = 90
 MIGRATION_TID = 91
 EXEC_TID = 99
+
+
+def new_trace_id() -> str:
+    """A fresh job correlation id: ``t`` + 12 random hex digits.
+
+    The scheduler mints one per job; it rides the job's log records,
+    its queue/run spans (on the ``EXEC_TID`` lane) and its ledger row.
+    """
+    return "t" + os.urandom(6).hex()
 
 
 class EventTracer:

@@ -12,17 +12,21 @@ Turns the ``repro`` CLI into a persistent service (the ROADMAP's
   ``shutdown``) and the streamed event vocabulary (``ack``/``queued``/
   ``started``/``progress``/``timeline``/``result``/``final``/``done``),
   plus the per-job ``trace`` correlation id.
-* :mod:`repro.service.queue` — the in-server job table: single-flight
-  deduplication on the run cache key, priority scheduling with
-  per-client round-robin fairness.
-* :mod:`repro.service.worker` — the per-job subprocess
-  (``python -m repro.service.worker``): simulates one spec, streams
-  timeline windows as they are sampled, writes through the store.
-* :mod:`repro.service.server` — the asyncio TCP server (``repro
-  serve``): accepts bench/experiment/sweep/validate submissions from
-  many concurrent clients, coalesces identical in-flight work, answers
-  completed work straight from the store, and streams progress back.
-  Owns the metrics registry and the per-job trace ids.
+* :mod:`repro.service.queue` — the job table's queue: priority
+  scheduling with per-client round-robin fairness.
+* :mod:`repro.service.worker` — the worker process (``python -m
+  repro.service.worker``) and :func:`~repro.service.worker.run_job`,
+  the one per-job function: simulates one spec through the cached
+  runner, streaming timeline windows as they are sampled.
+* :mod:`repro.service.scheduler` — the socket-free job scheduler:
+  single-flight deduplication on the run cache key, the queue, the
+  long-lived worker slots and the one retry/timeout loop.  Driven by
+  :func:`repro.exec.execute` in-process and by the server below.
+* :mod:`repro.service.server` — the asyncio TCP front on the scheduler
+  (``repro serve``): accepts bench/experiment/sweep/validate
+  submissions from many concurrent clients, answers or coalesces them
+  through the scheduler, and streams progress back.  Owns the metrics
+  endpoint and the per-request tabulation step.
 * :mod:`repro.service.http` — the optional ``--metrics-port`` scrape
   endpoint (``/metrics`` Prometheus exposition + ``/healthz``).
 * :mod:`repro.service.client` — the blocking client library behind
@@ -30,24 +34,3 @@ Turns the ``repro`` CLI into a persistent service (the ROADMAP's
 * :mod:`repro.service.top` — the live terminal dashboard behind
   ``repro top`` (polls ``status`` + ``metrics`` over the job socket).
 """
-
-from .client import ServiceClient, ServiceError
-from .http import MetricsHttpServer
-from .protocol import DEFAULT_HOST, DEFAULT_PORT
-from .queue import Job, JobQueue
-from .server import ReproServer
-from .store import ResultStore, get_store, store_root
-
-__all__ = [
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "Job",
-    "JobQueue",
-    "MetricsHttpServer",
-    "ReproServer",
-    "ResultStore",
-    "ServiceClient",
-    "ServiceError",
-    "get_store",
-    "store_root",
-]

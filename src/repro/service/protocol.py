@@ -187,11 +187,11 @@ def job_config_from_wire(frame: Dict[str, object]) -> Dict[str, object]:
     """Extract the per-job knobs of a submit/watch request.
 
     ``priority`` (lower runs earlier), ``retries`` and ``timeout_s``
-    ride every submit frame and thread through to the worker scheduler —
-    the same knobs ``repro run --retries/--timeout`` exposes for the
-    offline pool.  ``None`` means "the server's default".
+    ride every submit frame and thread through to the scheduler — the
+    same knobs ``repro run --retries/--timeout`` exposes for
+    ``execute``.  ``None`` means "the server's default".
     """
-    from ..exec.pool import DEFAULT_RETRIES
+    from ..exec.batch import DEFAULT_RETRIES
 
     timeout = frame.get("timeout_s")
     retries = frame.get("retries")

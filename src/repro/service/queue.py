@@ -1,4 +1,4 @@
-"""The server's job table: single-flight dedup, priorities, fairness.
+"""The scheduler's job table: single-flight dedup, priorities, fairness.
 
 A :class:`Job` is one unique simulation (one runner cache key) plus the
 set of subscribers waiting on it.  The table enforces **single-flight**
@@ -44,7 +44,7 @@ CANCELLED = "cancelled"
 
 @dataclass
 class Job:
-    """One unique simulation and the bookkeeping the server needs."""
+    """One unique simulation and the bookkeeping the scheduler needs."""
 
     key: str
     spec: RunSpec
@@ -55,25 +55,24 @@ class Job:
     timeout_s: Optional[float] = None
     state: str = QUEUED
     attempts: int = 0
-    #: Correlation id assigned by the server at job creation; follows
-    #: the job through queue, worker subprocess, telemetry log records
-    #: and every client-facing event frame.
+    #: Correlation id assigned by the scheduler at job creation;
+    #: follows the job through queue, worker process, telemetry log
+    #: records and every client-facing event frame.
     trace_id: str = ""
     #: Submit kind of the first subscriber (metrics label).
     kind: str = ""
-    #: Monotonic timestamps stamped as the job moves: creation (server),
+    #: Monotonic timestamps stamped as the job moves: creation (scheduler),
     #: enqueue (``JobQueue.push``), dequeue (``JobQueue.pop``).  Latency
     #: histograms are derived from these, never from wall clocks.
     created_mono: float = 0.0
     enqueued_mono: float = 0.0
     started_mono: float = 0.0
-    #: Server-defined subscriber records notified on job events (the
-    #: queue never inspects them; see ``repro.service.server``).
+    #: Front-defined subscriber records notified on job events (the
+    #: queue and scheduler never inspect them; see
+    #: ``repro.service.server``).
     subscribers: List[object] = field(default_factory=list)
     #: Result payload (``RunMetrics.to_dict()``) once DONE.
     result: Optional[Dict[str, object]] = None
-    #: Failure description once FAILED.
-    error: Optional[str] = None
     #: Monotonically bumped when the job is (re)pushed; stale heap
     #: entries carry an older version and are skipped at pop.
     queue_version: int = 0

@@ -1,60 +1,49 @@
 """The asyncio job server behind ``repro serve``.
 
-One process, one event loop, many concurrent clients.  Every request
-normalises onto the runner's content-addressed cache key, so the server
-is a continuous version of the offline planner/pool pipeline:
+A thin TCP front on the :class:`~repro.service.scheduler.Scheduler`:
+one process, one event loop, many concurrent clients.  Every request
+normalises onto the runner's content-addressed cache key and goes
+through the scheduler's routing, so
 
 * completed work is answered straight from the :class:`ResultStore`
   (never re-simulated);
 * identical in-flight work is **single-flighted**: the first submission
   creates the job, later ones subscribe to it, and one worker's streamed
   events fan out to every subscriber;
-* fresh work queues through :class:`JobQueue` (priority + per-client
-  round-robin fairness) onto at most ``jobs`` concurrent worker
-  subprocesses, each with the executor's retry/timeout contract.
+* fresh work queues (priority + per-client round-robin fairness) onto
+  at most ``jobs`` long-lived worker processes, with the scheduler's
+  retry/timeout loop — the same one ``repro run --jobs`` uses.
+
+This module adds what is specific to serving: client connections,
+requests and their subscribers, the per-request tabulation step
+(``finalize``), the ``status``/``metrics``/``shutdown`` ops, the
+optional HTTP scrape endpoint, and the drain that answers every
+subscriber before the socket closes.
 
 Workers stream timeline windows as they are sampled, so clients see
 ``progress``/``timeline`` frames *during* a simulation, not a dump at
-the end.  Graceful shutdown stops accepting submissions, drains every
-queued and running job (subscribers get their results), then closes.
-
-Observability: the server owns one
-:class:`~repro.obs.metrics.MetricsRegistry` shared with its
-:class:`JobQueue` and :class:`ResultStore`, answerable over the wire
-(the ``metrics`` op) and over HTTP (``--metrics-port`` serves
-``/metrics`` + ``/healthz``).  Every job carries a ``trace_id`` from
-creation to result delivery — see :mod:`repro.service.protocol` — and
-job queue/run phases are recorded as :class:`EventTracer` spans,
-exportable as a Chrome trace via ``trace_out``.
+the end.  Every job carries a ``trace_id`` from creation to result
+delivery — see :mod:`repro.service.protocol` — and job queue/run phases
+are recorded as :class:`EventTracer` spans, exportable as a Chrome
+trace via ``trace_out``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
-import os
-import sys
 import time
 from dataclasses import dataclass, field
 from itertools import count
-from pathlib import Path
-from typing import Awaitable, Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..common.statistics import StatGroup
 from ..exec.plan import RunSpec
-from ..obs.ledger import new_trace_id
-from ..obs.metrics import MetricsRegistry
-from ..obs.tracer import EXEC_TID, EventTracer
+from ..obs.tracer import new_trace_id
 from . import protocol
 from .protocol import ProtocolError
-from .queue import DONE, FAILED, Job, JobQueue
-from .store import ResultStore, get_store
-
-#: StreamReader line limit for worker pipes and client sockets (8 MiB).
-#: A ``result`` frame carries a full metrics dict (stats tree +
-#: timeline), which easily exceeds asyncio's 64 KiB default.
-LINE_LIMIT = 2 ** 23
+from .queue import Job
+from .scheduler import LINE_LIMIT, Scheduler
+from .store import ResultStore
 
 
 @dataclass
@@ -107,10 +96,9 @@ class Subscriber:
     request: Request
     #: How this request attached (run / coalesced) — echoed on results.
     source: str = protocol.SOURCE_NEW
-    wants_timeline: bool = True
 
 
-class ReproServer:
+class ReproServer(Scheduler):
     """Asyncio TCP JSON-lines simulation server."""
 
     def __init__(
@@ -125,13 +113,11 @@ class ReproServer:
         metrics_port: Optional[int] = None,
         trace_out: Optional[str] = None,
     ) -> None:
+        super().__init__(jobs=jobs, store=store, use_store=use_store,
+                         log=log, workers="exec", origin="service",
+                         store_max_bytes=store_max_bytes)
         self.host = host
         self.port = port
-        self.jobs = max(1, jobs)
-        self.store = store if store is not None else get_store()
-        self.use_store = use_store
-        self.log = log
-        self.store_max_bytes = store_max_bytes
         #: Bind an HTTP scrape endpoint (``/metrics`` + ``/healthz``)
         #: on this port when not None (0 = ephemeral; resolved after
         #: :meth:`start`).
@@ -141,27 +127,14 @@ class ReproServer:
         self.trace_out = trace_out
         self._server: Optional[asyncio.base_events.Server] = None
         self._http = None
-        self.metrics = MetricsRegistry()
-        self._queue = JobQueue(metrics=self.metrics)
         self.store.bind_metrics(self.metrics)
-        #: Queue/run spans per job (EXEC_TID lane, trace_id in args).
-        self.tracer = EventTracer()
-        self._epoch_mono = time.monotonic()
-        #: Live (queued or running) jobs by cache key — the single-flight
-        #: table identical submissions coalesce through.
-        self._jobs: Dict[str, Job] = {}
-        self._running: Set[asyncio.Task] = set()
         self._clients: Dict[str, ClientConn] = {}
         self._client_ids = count(1)
-        self._wake = asyncio.Event()
-        self._draining = False
-        self._closed = asyncio.Event()
-        self._scheduler_task: Optional[asyncio.Task] = None
-        self.stats = StatGroup("server")
-        self._register_metrics()
+        self._register_front_metrics()
 
-    def _register_metrics(self) -> None:
-        """Register the server's metric families (once, at construction).
+    def _register_front_metrics(self) -> None:
+        """Register the front's metric families (the scheduler owns the
+        job and worker families).
 
         Counters are incremented at the same sites as the ``stats``
         tree; gauges read live server state through ``set_function``
@@ -184,62 +157,6 @@ class ReproServer:
             "repro_specs_submitted_total",
             "Unique specs carried by submit requests, by submit kind",
             labels=("kind",))
-        self._m_jobs_created = m.counter(
-            "repro_jobs_created_total",
-            "Fresh jobs enqueued, by submit kind", labels=("kind",))
-        self._m_jobs_coalesced = m.counter(
-            "repro_jobs_coalesced_total",
-            "Submissions single-flighted onto an in-flight job",
-            labels=("kind",))
-        self._m_store_answered = m.counter(
-            "repro_jobs_store_answered_total",
-            "Submissions answered from the result store",
-            labels=("kind",))
-        self._m_jobs_completed = m.counter(
-            "repro_jobs_completed_total",
-            "Jobs that finished with a result, by submit kind",
-            labels=("kind",))
-        self._m_jobs_failed = m.counter(
-            "repro_jobs_failed_total",
-            "Jobs that exhausted retries, by submit kind",
-            labels=("kind",))
-        self._m_jobs_cancelled = m.counter(
-            "repro_jobs_cancelled_total",
-            "Queued jobs cancelled after their last subscriber left",
-            labels=("kind",))
-        m.gauge("repro_workers_busy",
-                "Worker subprocesses running right now").set_function(
-            lambda: float(len(self._running)))
-        m.gauge("repro_worker_slots",
-                "Concurrent worker slot limit (--jobs)").set_function(
-            lambda: float(self.jobs))
-        m.gauge("repro_draining",
-                "1 while a graceful shutdown drain is in progress"
-                ).set_function(lambda: 1.0 if self._draining else 0.0)
-        m.gauge("repro_uptime_seconds",
-                "Seconds since the server object was created"
-                ).set_function(
-            lambda: time.monotonic() - self._epoch_mono)
-        self._m_attempts = m.counter(
-            "repro_worker_attempts_total",
-            "Worker subprocess attempts launched (includes retries)")
-        self._m_retries = m.counter(
-            "repro_worker_retries_total", "Attempts that were retries")
-        self._m_timeouts = m.counter(
-            "repro_worker_timeouts_total",
-            "Attempts killed by the per-job timeout")
-        self._m_worker_failures = m.counter(
-            "repro_worker_failures_total",
-            "Attempts that ended without a result")
-        self._m_windows = m.counter(
-            "repro_windows_streamed_total",
-            "Timeline windows streamed from workers to subscribers")
-        self._m_run_hist = m.histogram(
-            "repro_job_run_seconds",
-            "Per-job run time: worker dispatch to completion")
-        self._m_e2e_hist = m.histogram(
-            "repro_job_e2e_seconds",
-            "End-to-end job latency: submission to completion")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -264,29 +181,15 @@ class ReproServer:
             self.metrics_port = self._http.port
             self._log("metrics_http", host=self.host,
                       port=self.metrics_port)
-        self._scheduler_task = asyncio.ensure_future(self._scheduler())
+        await super().start()
 
-    async def serve_until_closed(self) -> None:
-        """Run until a drain shutdown completes."""
-        await self._closed.wait()
+    async def _close(self) -> None:
+        """Once drained, stop the workers, the socket, the scrape
+        endpoint and every client connection.
 
-    def request_shutdown(self) -> None:
-        """Begin a graceful drain (idempotent, callable from signals).
-
-        New submissions are refused from this point; queued and running
-        jobs finish and their subscribers are answered before the
-        server closes.
+        New submissions were refused from :meth:`request_shutdown` on.
         """
-        if not self._draining:
-            self._draining = True
-            self._wake.set()
-
-    async def aclose(self) -> None:
-        """Drain and fully close (awaitable form of shutdown)."""
-        self.request_shutdown()
-        await self._closed.wait()
-
-    async def _finish_close(self) -> None:
+        await super()._close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -305,7 +208,6 @@ class ReproServer:
             client.closed = True
             client.outbox.put_nowait(None)
         self._log("serve_stop", **self.status_dict()["counters"])
-        self._closed.set()
 
     def status_dict(self) -> Dict[str, object]:
         """The ``status`` frame body: counters, queue, store, clients.
@@ -339,12 +241,6 @@ class ReproServer:
             "clients": len(self._clients),
             "uptime_s": time.monotonic() - self._epoch_mono,
         }
-
-    def _log(self, name: str, **fields: object) -> None:
-        """One structured telemetry event (``name`` is not ``kind``:
-        frames/fields may themselves carry a ``kind`` entry)."""
-        if self.log is not None:
-            self.log.event(name, **fields)
 
     # ------------------------------------------------------------------
     # Client handling
@@ -400,17 +296,13 @@ class ReproServer:
         work is never wasted), but a *queued* job nobody is waiting for
         any more is cancelled to give its slot to live requests.
         """
-        for key, job in list(self._jobs.items()):
+        for job in list(self._jobs.values()):
             job.subscribers = [
                 sub for sub in job.subscribers
                 if sub.request.client is not client  # type: ignore[union-attr]
             ]
-            if not job.subscribers and self._queue.cancel(job):
-                del self._jobs[key]
-                self.stats.counter("jobs_cancelled").add()
-                self._m_jobs_cancelled.labels(job.kind).inc()
-                self._log("job_cancelled", key=key, spec=job.describe(),
-                          trace=job.trace_id)
+            if not job.subscribers:
+                self.cancel(job)
 
     async def _handle_frame(self, client: ClientConn, line: bytes) -> None:
         try:
@@ -495,7 +387,6 @@ class ReproServer:
             self._deliver_result(request, key, metrics,
                                  protocol.SOURCE_STORE, trace)
         self._maybe_finish(request)
-        self._wake.set()
 
     def _expand_submit(
         self, kind: str, frame: Dict[str, object]
@@ -568,9 +459,9 @@ class ReproServer:
         return specs, finalize
 
     def _expand_validate(self, frame):
+        from ..exec.plan import plan_references
         from ..validate import load_ledger, validate
         from ..validate.engine import SCALES, _needed_experiments
-        from ..exec.plan import plan_experiments
 
         scale = str(frame.get("scale", "ci"))
         if scale not in SCALES:
@@ -580,11 +471,9 @@ class ReproServer:
                 if isinstance(only_field, list) else None)
         ledger = load_ledger(None)
         selected = ledger.select(scale=scale, only=only)
-        specs: List[RunSpec] = []
-        for experiment_id in _needed_experiments(selected):
-            refs = SCALES[scale].refs_for(experiment_id)
-            specs.extend(plan_experiments([experiment_id],
-                                          references=refs).specs)
+        specs = plan_references({
+            experiment_id: SCALES[scale].refs_for(experiment_id)
+            for experiment_id in _needed_experiments(selected)}).specs
 
         def finalize() -> Dict[str, object]:
             report = validate(ledger, scale=scale, only=only,
@@ -598,311 +487,74 @@ class ReproServer:
                      config: Dict[str, object],
                      store_hits: List[Tuple[str, Dict[str, object], str]]
                      ) -> Dict[str, object]:
-        """Route one spec: store answer, coalesce, or enqueue fresh.
+        """Route one spec through the scheduler and subscribe to it.
 
         Every routing outcome carries a ``trace`` id: fresh jobs mint
         one that follows the job to the worker and back; coalescers
         inherit the in-flight job's id (it *is* the same work); store
         answers mint a fresh one so the delivery is still greppable.
         """
-        if self.use_store and key not in self._jobs:
-            metrics = self.store.load(key)
-            if metrics is not None:
-                self.stats.counter("store_answers").add()
-                self._m_store_answered.labels(request.kind).inc()
-                trace = new_trace_id()
-                store_hits.append((key, metrics.to_dict(), trace))
-                return {"key": key, "source": protocol.SOURCE_STORE,
-                        "trace": trace}
-        job = self._jobs.get(key)
-        if job is not None:
-            sub = Subscriber(request, protocol.SOURCE_COALESCED,
-                             request.wants_timeline)
-            job.subscribers.append(sub)
-            request.pending.add(key)
-            priority = int(config["priority"])  # type: ignore[arg-type]
-            self._queue.reprioritize(job, priority)
-            self.stats.counter("jobs_coalesced").add()
-            self._m_jobs_coalesced.labels(request.kind).inc()
-            return {"key": key, "source": protocol.SOURCE_COALESCED,
-                    "trace": job.trace_id}
-        job = Job(key=key, spec=spec,
-                  priority=int(config["priority"]),  # type: ignore[arg-type]
-                  client=request.client.id,
-                  retries=int(config["retries"]),  # type: ignore[arg-type]
-                  timeout_s=config["timeout_s"],  # type: ignore[arg-type]
-                  trace_id=new_trace_id(), kind=request.kind,
-                  created_mono=time.monotonic())
-        job.subscribers.append(
-            Subscriber(request, protocol.SOURCE_NEW, request.wants_timeline))
+        source, job, stored = self.attach(
+            spec, key, request.kind, client=request.client.id,
+            **config)  # type: ignore[arg-type]
+        if job is None:
+            trace = new_trace_id()
+            store_hits.append((key, stored.to_dict(), trace))  # type: ignore[union-attr]
+            return {"key": key, "source": source, "trace": trace}
+        job.subscribers.append(Subscriber(request, source))
         request.pending.add(key)
-        self._jobs[key] = job
-        self._queue.push(job)
-        self.stats.counter("jobs_created").add()
-        self._m_jobs_created.labels(request.kind).inc()
-        self._log("job_queued", key=key, spec=job.describe(),
-                  priority=job.priority, client=request.client.id,
-                  trace=job.trace_id)
-        return {"key": key, "source": protocol.SOURCE_NEW,
-                "trace": job.trace_id, "position": len(self._queue)}
+        routing: Dict[str, object] = {"key": key, "source": source,
+                                      "trace": job.trace_id}
+        if source == protocol.SOURCE_NEW:
+            routing["position"] = len(self._queue)
+        return routing
 
     def _handle_watch(self, client: ClientConn, req_id: object,
                       frame: Dict[str, object]) -> None:
         key = str(frame.get("key") or "")
         if not key:
             raise ProtocolError("watch needs a 'key'")
-        request = Request(client, req_id, "watch", wants_timeline=True)
-        request.total = 1
         job = self._jobs.get(key)
+        metrics = (self.store.load(key) if job is None and self.use_store
+                   else None)
+        if job is None and metrics is None:
+            raise ProtocolError(f"nothing known about key {key!r}")
+        request = Request(client, req_id, "watch", total=1)
+        source = (protocol.SOURCE_COALESCED if job is not None
+                  else protocol.SOURCE_STORE)
+        trace = job.trace_id if job is not None else new_trace_id()
+        request.send("ack", protocol_version=protocol.PROTOCOL_VERSION,
+                     kind="watch",
+                     jobs=[{"key": key, "source": source, "trace": trace}],
+                     total=1)
         if job is not None:
-            job.subscribers.append(
-                Subscriber(request, protocol.SOURCE_COALESCED, True))
+            job.subscribers.append(Subscriber(request, source))
             request.pending.add(key)
-            request.send("ack", protocol_version=protocol.PROTOCOL_VERSION,
-                         kind="watch",
-                         jobs=[{"key": key,
-                                "source": protocol.SOURCE_COALESCED,
-                                "trace": job.trace_id}],
-                         total=1)
-            return
-        metrics = self.store.load(key) if self.use_store else None
-        if metrics is not None:
-            trace = new_trace_id()
-            request.send("ack", protocol_version=protocol.PROTOCOL_VERSION,
-                         kind="watch",
-                         jobs=[{"key": key, "source": protocol.SOURCE_STORE,
-                                "trace": trace}],
-                         total=1)
-            self._deliver_result(request, key, metrics.to_dict(),
-                                 protocol.SOURCE_STORE, trace)
-            return
-        raise ProtocolError(f"nothing known about key {key!r}")
+        else:
+            self._deliver_result(request, key, metrics.to_dict(),  # type: ignore[union-attr]
+                                 source, trace)
 
     # ------------------------------------------------------------------
-    # Scheduling and workers
+    # Scheduler hooks: fan job events out to subscribers
     # ------------------------------------------------------------------
 
-    async def _scheduler(self) -> None:
-        """Feed queued jobs onto free worker slots until shutdown."""
-        while True:
-            while len(self._running) < self.jobs:
-                job = self._queue.pop()
-                if job is None:
-                    break
-                task = asyncio.ensure_future(self._run_job(job))
-                self._running.add(task)
-                task.add_done_callback(self._job_task_done)
-            if self._draining and not self._queue and not self._running:
-                break
-            self._wake.clear()
-            await self._wake.wait()
-        await self._finish_close()
-
-    def _job_task_done(self, task: asyncio.Task) -> None:
-        self._running.discard(task)
-        if not task.cancelled() and task.exception() is not None:
-            # A scheduler bug, not a worker failure: record loudly.
-            self.stats.counter("internal_errors").add()
-            self._log("internal_error", error=repr(task.exception()))
-        self._wake.set()
-
-    def _worker_env(self) -> Dict[str, str]:
-        """Environment for worker subprocesses.
-
-        Ensures the package is importable and points the worker at the
-        *server's* store directory, so results land where the server
-        (and every other client) will look for them, regardless of the
-        environment the server itself inherited.
-        """
-        env = dict(os.environ)
-        package_root = str(Path(__file__).resolve().parents[2])
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (package_root if not existing
-                             else package_root + os.pathsep + existing)
-        env["REPRO_CACHE_DIR"] = str(self.store.directory)
-        return env
-
-    async def _run_job(self, job: Job) -> None:
-        """Run one job to completion with retries and timeouts."""
-        self._log("job_started", key=job.key, spec=job.describe(),
-                  trace=job.trace_id)
-        failure = "job never attempted"
-        for attempt in range(job.retries + 1):
-            job.attempts = attempt + 1
-            self._m_attempts.inc()
-            if attempt:
-                self.stats.counter("worker_retries").add()
-                self._m_retries.inc()
-                self._broadcast(job, "retry", attempt=attempt,
-                                reason=failure)
-            try:
-                failure = await asyncio.wait_for(
-                    self._attempt(job), timeout=job.timeout_s)
-            except asyncio.TimeoutError:
-                self.stats.counter("worker_timeouts").add()
-                self._m_timeouts.inc()
-                failure = (f"timed out after {job.timeout_s}s "
-                           f"(attempt {attempt + 1})")
-            if failure is None:
-                self._complete_job(job)
-                return
-            self.stats.counter("worker_failures").add()
-            self._m_worker_failures.inc()
-            self._log("job_failure", key=job.key, spec=job.describe(),
-                      reason=failure, attempt=attempt,
-                      will_retry=attempt < job.retries,
-                      trace=job.trace_id)
-        self._fail_job(job, failure)
-
-    async def _attempt(self, job: Job) -> Optional[str]:
-        """One worker-subprocess attempt; ``None`` on success.
-
-        Cancellation (the timeout above, or task teardown) kills the
-        subprocess — the honest cancellation a ``ProcessPoolExecutor``
-        cannot offer for an already-running task.
-        """
-        proc = await asyncio.create_subprocess_exec(
-            sys.executable, "-m", "repro.service.worker",
-            stdin=asyncio.subprocess.PIPE,
-            stdout=asyncio.subprocess.PIPE,
-            stderr=asyncio.subprocess.PIPE,
-            limit=LINE_LIMIT,
-            env=self._worker_env())
-        stderr_task = asyncio.ensure_future(
-            proc.stderr.read())  # type: ignore[union-attr]
-        error: Optional[str] = None
-        got_result = False
-        try:
-            payload = {"spec": protocol.spec_to_wire(job.spec),
-                       "use_store": self.use_store, "timeline": True,
-                       "trace_id": job.trace_id}
-            assert proc.stdin is not None and proc.stdout is not None
-            proc.stdin.write(protocol.encode(payload))
-            await proc.stdin.drain()
-            proc.stdin.close()
-            while True:
-                line = await proc.stdout.readline()
-                if not line:
-                    break
-                try:
-                    event = json.loads(line)
-                except ValueError:
-                    continue  # stray print from deep inside the model
-                got, error = self._on_worker_event(job, event, got_result)
-                got_result = got_result or got
-            await proc.wait()
-        except asyncio.CancelledError:
-            with contextlib.suppress(ProcessLookupError):
-                proc.kill()
-            with contextlib.suppress(Exception):
-                await proc.wait()
-            stderr_task.cancel()
-            raise
-        stderr = (await stderr_task).decode("utf-8", "replace").strip()
-        if got_result:
-            return None
-        if error is None:
-            tail = stderr[-400:] if stderr else "no stderr"
-            error = (f"worker exited {proc.returncode} without a result "
-                     f"({tail})")
-        return error
-
-    def _on_worker_event(self, job: Job, event: Dict[str, object],
-                         had_result: bool) -> Tuple[bool, Optional[str]]:
-        """Dispatch one worker stdout event; returns (result?, error)."""
-        kind = event.get("event")
-        if kind == "worker_started":
-            self._broadcast(job, "started", pid=event.get("pid"),
-                            refs_total=event.get("refs_total"),
-                            attempt=job.attempts)
-            return False, None
-        if kind == "window":
-            self.stats.counter("windows_streamed").add()
-            self._m_windows.inc()
-            self._broadcast(job, "progress",
-                            refs_done=event.get("refs_done"),
-                            refs_total=event.get("refs_total"))
-            self._broadcast(job, "timeline", window=event.get("window"),
-                            timeline_only=True)
-            return False, None
-        if kind == "worker_result":
-            if not had_result:
-                job.result = event.get("metrics")  # type: ignore[assignment]
-                if event.get("from_store"):
-                    self.stats.counter("store_answers").add()
-                else:
-                    self.stats.counter("jobs_simulated").add()
-                self._log("job_result", key=job.key, spec=job.describe(),
-                          wall_s=event.get("wall_s"),
-                          from_store=bool(event.get("from_store")),
-                          trace=job.trace_id)
-            return True, None
-        if kind == "worker_error":
-            return False, str(event.get("message", "unknown worker error"))
-        return False, None
-
-    # ------------------------------------------------------------------
-    # Completion fan-out
-    # ------------------------------------------------------------------
-
-    def _broadcast(self, job: Job, kind: str, timeline_only: bool = False,
-                   **fields: object) -> None:
-        """Send one job event to every (interested) subscriber."""
+    def _on_job_event(self, job: Job, kind: str, **fields: object) -> None:
         for sub in job.subscribers:  # type: ignore[assignment]
-            if timeline_only and not sub.wants_timeline:
+            if kind == "timeline" and not sub.request.wants_timeline:
                 continue
             sub.request.send(kind, key=job.key, trace=job.trace_id,
                              **fields)
 
-    def _trace_spans(self, job: Job, now: float, ok: bool) -> None:
-        """Record a finished job's queue and run phases as trace spans.
-
-        Timestamps are monotonic seconds relative to server start,
-        scaled to the tracer's nanosecond axis, so spans from one
-        server process line up on one Perfetto timeline.
-        """
-        base = self._epoch_mono
-        if job.enqueued_mono and job.started_mono:
-            self.tracer.emit(
-                (job.enqueued_mono - base) * 1e9, "service", "queue",
-                dur_ns=(job.started_mono - job.enqueued_mono) * 1e9,
-                tid=EXEC_TID, trace=job.trace_id, key=job.key)
-        if job.started_mono:
-            self.tracer.emit(
-                (job.started_mono - base) * 1e9, "service", "run",
-                dur_ns=(now - job.started_mono) * 1e9,
-                tid=EXEC_TID, trace=job.trace_id, key=job.key, ok=ok)
-
-    def _complete_job(self, job: Job) -> None:
-        job.state = DONE
-        self._jobs.pop(job.key, None)
-        now = time.monotonic()
-        self._m_jobs_completed.labels(job.kind).inc()
-        if job.started_mono:
-            self._m_run_hist.observe(now - job.started_mono)
-        if job.created_mono:
-            self._m_e2e_hist.observe(now - job.created_mono)
-        self._trace_spans(job, now, ok=True)
-        if self.store_max_bytes is not None:
-            self.store.gc(max_bytes=self.store_max_bytes)
+    def _on_job_done(self, job: Job) -> None:
         subscribers = list(job.subscribers)
         job.subscribers.clear()
         for sub in subscribers:
             self._deliver_result(sub.request, job.key, job.result or {},
                                  sub.source, job.trace_id)
-        self._wake.set()
 
-    def _fail_job(self, job: Job, reason: Optional[str]) -> None:
-        job.state = FAILED
-        job.error = reason
-        self._jobs.pop(job.key, None)
-        self.stats.counter("jobs_failed").add()
-        self._m_jobs_failed.labels(job.kind).inc()
-        self._trace_spans(job, time.monotonic(), ok=False)
+    def _on_job_failed(self, job: Job, message: str) -> None:
         subscribers = list(job.subscribers)
         job.subscribers.clear()
-        message = (f"{job.describe()}: {reason} "
-                   f"(after {job.attempts} attempt(s))")
         for sub in subscribers:
             request = sub.request
             request.failed[job.key] = message
@@ -910,7 +562,6 @@ class ReproServer:
                          message=message)
             request.pending.discard(job.key)
             self._maybe_finish(request)
-        self._wake.set()
 
     def _deliver_result(self, request: Request, key: str,
                         metrics: Dict[str, object], source: str,

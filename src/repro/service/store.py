@@ -185,7 +185,7 @@ class ResultStore:
         """Recall one result; ``None`` on miss or corrupt entry.
 
         Reads the disk directly (never only the index) so results
-        written by other processes — pool workers, a concurrent server —
+        written by other processes — worker processes, a concurrent server —
         are visible immediately.  A hit refreshes the entry's mtime so
         LRU eviction tracks use, not just creation.
         """

@@ -1,14 +1,14 @@
-"""The per-job worker subprocess: simulate one spec, stream progress.
+"""The worker process: run job lines, stream each job's events.
 
-``python -m repro.service.worker`` reads one JSON job description from
-stdin::
+``python -m repro.service.worker`` is one long-lived worker.  It reads
+JSON job descriptions from stdin, one per line, until EOF::
 
     {"spec": {...RunSpec wire form...}, "use_store": true,
      "timeline": true, "trace_id": "t3f9a..."}
 
-and emits JSON-lines events on stdout as the simulation advances (every
-event echoes the job's ``trace`` id, so the worker's stream is
-correlatable with the server log and client frames for the same job):
+and for each job emits JSON-lines events on stdout as the simulation
+advances (every event echoes the job's ``trace`` id, so the worker's
+stream is correlatable with the server log and client frames):
 
 * ``worker_started`` — pid, cache key, total reference budget;
 * ``window`` — one phase-resolved timeline window the moment the
@@ -16,21 +16,19 @@ correlatable with the server log and client frames for the same job):
   windows arrive mid-simulation, roughly 24 per run, not at the end);
 * ``worker_result`` — the final ``RunMetrics`` dict, wall time, and
   whether the store answered without simulating;
-* ``worker_error`` — exception text + traceback, exit code 1.
+* ``worker_error`` — exception text + traceback.
 
-The worker writes its result through the shared
-:class:`repro.service.store.ResultStore` *before* emitting
-``worker_result``, so by the time the server broadcasts completion the
-result is durable and any later identical request is a store hit.  It
-also lands one ``origin="service"`` row (carrying the job's trace id)
-in the run ledger (:mod:`repro.obs.ledger`) so service work shows up in
-``repro ledger`` / ``repro report`` alongside CLI runs.
+Exactly one ``worker_result`` or ``worker_error`` ends each job.
 
-A subprocess (rather than a ``ProcessPoolExecutor`` task) is what gives
-the server three things the offline pool cannot: a live per-job event
-channel (this stdout), honest cancellation (kill the process group) and
-per-job timeouts that reclaim the slot immediately.  The simulation
-entry points are exactly the ones the offline pool uses.
+:func:`run_job` is the one per-job function of the execution stack:
+the scheduler (:mod:`repro.service.scheduler`) runs it in worker
+processes for ``repro serve`` and ``execute(jobs > 1)``, and in-process
+for ``execute(jobs=1)``.  It goes through
+:func:`repro.sim.runner.run_workload`, so the store recall, the store
+write (done *before* ``worker_result``, so a completed job is durable
+when the scheduler hears of it) and the run-ledger row (origin from
+the scoped :func:`repro.obs.ledger.current_origin`, trace id from the
+job) are the runner's own.
 """
 
 from __future__ import annotations
@@ -42,118 +40,81 @@ import time
 import traceback
 from typing import Callable, Dict, TextIO
 
-from ..obs import ledger
-from ..sim.runner import (
-    default_timeline_interval,
-    fresh_run,
-    make_config,
-    resolve_run_shape,
-)
-from .protocol import ProtocolError, spec_from_wire
+from ..sim.runner import resolve_run_shape
+from .protocol import spec_from_wire
 from .store import get_store
 
 Emit = Callable[[Dict[str, object]], None]
 
 
 def run_job(payload: Dict[str, object], emit: Emit) -> int:
-    """Execute one job description; returns a process exit code.
-
-    Factored out of :func:`main` so tests can drive the worker
-    in-process with a capturing ``emit`` instead of a subprocess.
-    """
+    """Execute one job description; returns 0 on success, 1 on error."""
     trace_id = str(payload.get("trace_id", ""))
+    timeline = bool(payload.get("timeline", True))
+    store = get_store()
+    hits = store.hits
+    started = time.monotonic()
+    key = None
     try:
         spec = spec_from_wire(payload.get("spec", {}))  # type: ignore[arg-type]
-    except ProtocolError as error:
-        emit({"event": "worker_error", "message": str(error),
-              "trace": trace_id})
-        return 1
-    use_store = bool(payload.get("use_store", True))
-    timeline = bool(payload.get("timeline", True))
-    key = spec.cache_key()
-    store = get_store()
-    started = time.monotonic()
-    if use_store:
-        cached = store.load(key)
-        if cached is not None:
-            ledger.record_run(cached, key, cache_hit=True,
-                              wall_s=time.monotonic() - started,
-                              seed=spec.seed, origin="service",
-                              trace_id=trace_id or None,
-                              engine=spec.engine)
-            emit({"event": "worker_result", "key": key, "trace": trace_id,
-                  "metrics": cached.to_dict(), "from_store": True,
-                  "wall_s": time.monotonic() - started})
-            return 0
-    num_cores, references = resolve_run_shape(spec.workload, spec.references)
-    config = make_config(spec.design, num_cores=num_cores, seed=spec.seed,
-                         asym=spec.asym, controller=spec.controller)
-    # Progress is measured in retired references summed over cores; the
-    # first ~20% is warmup (windows are measurement-relative, so the
-    # warmup budget is added back for an honest percentage).
-    warmup_refs = int(references * 0.2) * num_cores
-    refs_total = references * num_cores
-    emit({"event": "worker_started", "key": key, "pid": os.getpid(),
-          "trace": trace_id, "refs_total": refs_total})
-    interval = (default_timeline_interval(references, num_cores)
-                if timeline else None)
+        key = spec.cache_key()
+        num_cores, references = resolve_run_shape(spec.workload,
+                                                   spec.references)
+        # Progress is measured in retired references summed over cores;
+        # the first ~20% is warmup (windows are measurement-relative,
+        # so the warmup budget is added back for an honest percentage).
+        warmup_refs = int(references * 0.2) * num_cores
+        refs_total = references * num_cores
+        emit({"event": "worker_started", "key": key, "pid": os.getpid(),
+              "trace": trace_id, "refs_total": refs_total})
 
-    def on_window(window: Dict[str, object]) -> None:
-        emit({"event": "window", "key": key, "trace": trace_id,
-              "refs_done": min(refs_total,
-                               warmup_refs + int(window["end_refs"])),
-              "refs_total": refs_total, "window": window})
+        def on_window(window: Dict[str, object]) -> None:
+            emit({"event": "window", "key": key, "trace": trace_id,
+                  "refs_done": min(refs_total,
+                                   warmup_refs + int(window["end_refs"])),
+                  "refs_total": refs_total, "window": window})
 
-    try:
-        metrics = fresh_run(spec.workload, config, references, spec.seed,
-                            timeline_interval=interval,
-                            on_window=on_window if timeline else None,
-                            engine=spec.engine)
+        metrics = spec.run(use_cache=bool(payload.get("use_store", True)),
+                           timeline=timeline,
+                           on_window=on_window if timeline else None,
+                           trace_id=trace_id or None)
     except Exception as error:  # surface, don't die silently
         emit({"event": "worker_error", "key": key, "message": repr(error),
               "trace": trace_id, "traceback": traceback.format_exc()})
         return 1
-    if use_store:
-        store.store(key, metrics)
-    ledger.record_run(metrics, key, cache_hit=False,
-                      wall_s=time.monotonic() - started,
-                      seed=spec.seed, origin="service",
-                      trace_id=trace_id or None,
-                      engine=spec.engine)
     emit({"event": "worker_result", "key": key, "trace": trace_id,
-          "metrics": metrics.to_dict(), "from_store": False,
+          "metrics": metrics.to_dict(), "from_store": store.hits > hits,
           "wall_s": time.monotonic() - started})
     return 0
 
 
-def _stdout_emitter(stream: TextIO) -> Emit:
-    """An ``emit`` that writes one flushed JSON line per event.
+def serve(jobs: TextIO, events: TextIO) -> int:
+    """Run every job line of ``jobs`` until EOF; events go to ``events``.
 
-    Flushing per event is the streaming contract: the server reads this
-    pipe with ``readline`` and forwards each event to subscribers as it
-    arrives, so buffering here would turn live progress into an
-    end-of-run dump.
+    Each event is one flushed JSON line: the scheduler reads this pipe
+    line by line and forwards each event as it arrives, so buffering
+    here would turn live progress into an end-of-run dump.
     """
     def emit(event: Dict[str, object]) -> None:
-        stream.write(json.dumps(event, separators=(",", ":")) + "\n")
-        stream.flush()
-    return emit
+        events.write(json.dumps(event, separators=(",", ":")) + "\n")
+        events.flush()
+
+    for line in jobs:
+        if not line.strip():
+            continue
+        try:
+            payload = json.loads(line)
+        except ValueError as error:
+            emit({"event": "worker_error",
+                  "message": f"undecodable job: {error}"})
+            continue
+        run_job(payload, emit)
+    return 0
 
 
 def main() -> int:
-    """Subprocess entry point: one job from stdin, events to stdout."""
-    emit = _stdout_emitter(sys.stdout)
-    line = sys.stdin.readline()
-    if not line.strip():
-        emit({"event": "worker_error", "message": "empty job on stdin"})
-        return 1
-    try:
-        payload = json.loads(line)
-    except ValueError as error:
-        emit({"event": "worker_error",
-              "message": f"undecodable job: {error}"})
-        return 1
-    return run_job(payload, emit)
+    """Subprocess entry point: jobs from stdin, events to stdout."""
+    return serve(sys.stdin, sys.stdout)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import time
-from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..common.config import AsymmetricConfig, ControllerConfig, SystemConfig
@@ -45,13 +44,6 @@ def default_timeline_interval(references: int, num_cores: int = 1) -> int:
     interval by the core count to keep the window count stable.
     """
     return max(1, (references * num_cores) // TIMELINE_WINDOWS)
-
-
-def cache_dir() -> Path:
-    """Directory holding memoised run results."""
-    from ..service.store import store_root
-
-    return store_root()
 
 
 def _cache_enabled() -> bool:
@@ -239,6 +231,9 @@ def run_workload(
     use_cache: bool = True,
     timeline: bool = True,
     engine: str = "interp",
+    *,
+    on_window: Optional[Callable[[Dict[str, object]], None]] = None,
+    trace_id: Optional[str] = None,
 ) -> RunMetrics:
     """Run (or recall) one (workload, design) simulation.
 
@@ -254,11 +249,15 @@ def run_workload(
     itself (see ``benchmarks/bench_exec.py``) — a result computed with
     ``timeline=False`` stores an empty series under the same cache key.
 
+    ``on_window`` observes each timeline window of a fresh run as it
+    closes (see :func:`fresh_run`); ``trace_id`` tags the ledger row
+    (the job server's workers pass their job's id).
+
     Every completed call — cache hit or fresh — lands one row in the
-    run ledger (:mod:`repro.obs.ledger`), so the CLI, the offline pool's
-    worker subprocesses, ``repro perf`` and ``repro validate`` all build
-    history with no wiring of their own.  ``REPRO_NO_LEDGER=1`` reduces
-    that to a single environment lookup.
+    run ledger (:mod:`repro.obs.ledger`), so the CLI, the scheduler's
+    workers, ``repro perf`` and ``repro validate`` all build history
+    with no wiring of their own.  ``REPRO_NO_LEDGER=1`` reduces that to
+    a single environment lookup.
     """
     from ..engine import validate_engine
     from ..obs import ledger
@@ -277,18 +276,20 @@ def run_workload(
             if record:
                 ledger.record_run(cached, key, cache_hit=True,
                                   wall_s=time.monotonic() - started,
-                                  seed=seed, engine=engine)
+                                  seed=seed, trace_id=trace_id,
+                                  engine=engine)
             return cached
     interval = (default_timeline_interval(references, num_cores)
                 if timeline else None)
     metrics = fresh_run(workload, config, references, seed,
-                        timeline_interval=interval, engine=engine)
+                        timeline_interval=interval, on_window=on_window,
+                        engine=engine)
     if use_cache:
         _store_cached(key, metrics)
     if record:
         ledger.record_run(metrics, key, cache_hit=False,
                           wall_s=time.monotonic() - started, seed=seed,
-                          engine=engine)
+                          trace_id=trace_id, engine=engine)
     return metrics
 
 

@@ -114,7 +114,7 @@ def _cell_specs(workload, label, configs, design, references, seed,
 def _sweep(study_id, configs, workloads, design, references, seed,
            use_cache, kind, jobs=1) -> ExperimentResult:
     from ..exec.plan import JobGraph
-    from ..exec.pool import execute
+    from ..exec.batch import execute
 
     labels = list(configs)
     # Phase 1: plan every cell's (baseline, measured) runs, deduplicated
@@ -129,7 +129,7 @@ def _sweep(study_id, configs, workloads, design, references, seed,
             graph.add(base_spec)
             graph.add(metrics_spec)
             cells[(workload, label)] = (base_spec, metrics_spec)
-    # Phase 2: execute (inline when jobs=1, worker pool otherwise).
+    # Phase 2: execute (inline when jobs=1, worker processes otherwise).
     report = execute(graph.specs, jobs=jobs, use_cache=use_cache)
 
     result = ExperimentResult(study_id, f"{kind} sweep",

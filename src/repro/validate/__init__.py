@@ -9,7 +9,7 @@ committed, schema-validated expectations ledger
 * evaluates each expectation against structured experiment results
   (:mod:`repro.validate.checks`);
 * runs the needed experiments at a chosen scale — reusing the run
-  cache and the ``repro.exec`` worker pool — and assembles a pass/fail
+  cache and ``repro.exec``'s parallel execution — and assembles a pass/fail
   report with per-claim evidence (:mod:`repro.validate.engine`);
 * regenerates EXPERIMENTS.md and ``experiments_output.txt`` from the
   committed full-scale results snapshot so the fidelity ledger is

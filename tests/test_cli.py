@@ -72,7 +72,8 @@ class TestStats:
         (tmp_path / f"{key}.json").write_text(json.dumps(stale.to_dict()))
         assert main(["stats", "libquantum", "--refs", "2500"]) == 1
         out = capsys.readouterr().out
-        assert "predates CODE_VERSION 9" in out
+        assert "stored without a stats tree" in out
+        assert "CODE_VERSION" not in out
         assert "re-run" in out
 
     def test_timeline_render_and_exports(self, capsys, tmp_path,
@@ -190,7 +191,8 @@ class TestRunLogJson:
         events = [json.loads(line) for line in log_path.read_text().splitlines()]
         assert events[-1]["event"] == "summary"
         assert events[-1]["executed"] + events[-1]["cache_hits"] > 0
-        assert any(e["event"] == "run" for e in events)
+        assert any(e["event"] == "job_result" and not e["from_store"]
+                   for e in events)
 
 
 class TestBench:

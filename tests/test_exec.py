@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import signal
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,7 @@ from repro.exec import (
     execute,
     plan_experiments,
 )
-from repro.exec.pool import run_spec_worker
+from repro.sim import runner
 from repro.sim.runner import _load_cached, _store_cached, run_workload
 
 REFS = 1500
@@ -132,54 +135,120 @@ class TestAtomicCache:
         assert not list(cache.glob("*.tmp"))
 
 
-def _crash_once_worker(spec, use_cache=True):
-    """Hard-kill the worker process on the first attempt (pool test)."""
-    marker = Path(os.environ["REPRO_TEST_CRASH_MARKER"])
-    if not marker.exists():
-        marker.write_text("crashed")
-        os._exit(17)  # abrupt death -> BrokenProcessPool in the parent
-    return run_spec_worker(spec, use_cache)
+class RecordingLog(JsonlLog):
+    """A JsonlLog that keeps its records and lets a test react to them."""
+
+    def __init__(self, on_event=None):
+        super().__init__(stream=io.StringIO())
+        self.records = []
+        self.on_event = on_event
+
+    def event(self, name, **fields):
+        super().event(name, **fields)
+        self.records.append({"event": name, **fields})
+        if self.on_event is not None:
+            self.on_event(name, fields)
+
+    def of(self, name):
+        return [r for r in self.records if r["event"] == name]
 
 
-def _raise_once_worker(spec, use_cache=True):
-    """Raise on the first attempt (inline/exception retry path)."""
-    marker = Path(os.environ["REPRO_TEST_CRASH_MARKER"])
-    if not marker.exists():
-        marker.write_text("raised")
-        raise RuntimeError("transient failure")
-    return run_spec_worker(spec, use_cache)
+def _fail_first_runs(monkeypatch, failures):
+    """Make the first ``failures`` fresh simulations raise (None: all)."""
+    real = runner.fresh_run
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        if failures is None or len(calls) <= failures:
+            raise RuntimeError("injected failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "fresh_run", flaky)
 
 
-def _always_fail_worker(spec, use_cache=True):
-    raise RuntimeError("permanent failure")
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 class TestRetry:
-    def test_retry_after_worker_crash(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_TEST_CRASH_MARKER",
-                           str(tmp_path / "marker"))
+    def test_retry_after_worker_crash(self):
+        """A worker killed as its job starts is replaced; the retry on
+        the fresh process returns the same metrics as a direct run."""
+        killed = []
+
+        def kill_first_start(name, fields):
+            if name == "job_started" and not killed:
+                killed.append(fields["worker"])
+                os.kill(fields["worker"], signal.SIGKILL)
+
+        log = RecordingLog(kill_first_start)
         spec = RunSpec("libquantum", "standard", REFS)
-        report = execute([spec], jobs=2, retries=2,
-                         worker=_crash_once_worker)
-        assert report.retried >= 1
+        report = execute([spec], jobs=2, retries=2, log=log)
+        assert report.retried == 1 and report.worker_failures == 1
         assert report.executed == 1
+        first, second = [r["worker"] for r in log.of("job_started")]
+        assert first == killed[0] and second != first
+        assert [r["worker"] for r in log.of("job_result")] == [second]
         direct = run_workload(spec.workload, spec.design, spec.references,
                               use_cache=False)
         assert report.get(spec).to_dict() == direct.to_dict()
 
-    def test_retry_after_worker_exception_inline(self, monkeypatch,
-                                                 tmp_path):
-        monkeypatch.setenv("REPRO_TEST_CRASH_MARKER",
-                           str(tmp_path / "marker"))
+    def test_jobs_on_one_slot_share_a_worker_process(self):
+        """Workers are long-lived: a slot runs job after job on one pid."""
+        log = RecordingLog()
+        specs = [RunSpec("libquantum", "standard", REFS, seed)
+                 for seed in (1, 2, 3)]
+        report = execute(specs, jobs=2, log=log)
+        assert report.executed == 3
+        pids = Counter(r["worker"] for r in log.of("job_result"))
+        assert max(pids.values()) >= 2
+        assert os.getpid() not in pids
+
+    def test_timeout_replaces_only_its_slots_worker(self):
+        slow = RunSpec("libquantum", "standard", 3_000_000)
+        quick = [RunSpec("libquantum", "standard", REFS, seed)
+                 for seed in (1, 2)]
+        quick_keys = {spec.cache_key() for spec in quick}
+        alive_at_retry = []
+
+        def watch(name, fields):
+            if (name == "job_started" and fields["attempt"] == 1
+                    and fields["key"] == slow.cache_key()):
+                alive_at_retry.extend(
+                    _alive(r["worker"]) for r in log.of("job_result"))
+
+        log = RecordingLog(watch)
+        with pytest.raises(ExecutionError) as excinfo:
+            execute([slow, *quick], jobs=2, retries=1, timeout_s=3.0,
+                    log=log)
+        report = excinfo.value.report
+        assert report.timeouts == 2 and report.executed == 2
+        started = log.of("job_started")
+        slow_pids = [r["worker"] for r in started
+                     if r["key"] == slow.cache_key()]
+        quick_pids = {r["worker"] for r in started
+                      if r["key"] in quick_keys}
+        assert len(slow_pids) == 2 and slow_pids[0] != slow_pids[1]
+        assert len(quick_pids) == 1 and not quick_pids & set(slow_pids)
+        # The other slot's worker outlived the timeout kill.
+        assert alive_at_retry == [True, True]
+
+    def test_retry_after_worker_exception_inline(self, monkeypatch):
+        _fail_first_runs(monkeypatch, 1)
         spec = RunSpec("libquantum", "standard", REFS)
-        report = execute([spec], jobs=1, retries=1,
-                         worker=_raise_once_worker)
+        report = execute([spec], jobs=1, retries=1)
         assert report.retried == 1 and report.executed == 1
 
-    def test_exhausted_retries_raise_with_partial_report(self):
+    def test_exhausted_retries_raise_with_partial_report(self, monkeypatch):
+        _fail_first_runs(monkeypatch, None)
         spec = RunSpec("libquantum", "standard", REFS)
         with pytest.raises(ExecutionError) as excinfo:
-            execute([spec], jobs=1, retries=1, worker=_always_fail_worker)
+            execute([spec], jobs=1, retries=1)
         report = excinfo.value.report
         assert report.failed and report.executed == 0
         assert "libquantum" in report.failed[0]
@@ -198,21 +267,25 @@ class TestTelemetryLog:
         with JsonlLog(str(path)) as log:
             execute([spec], jobs=1, log=log)
         events = _read_jsonl(path)
-        assert [e["event"] for e in events] == ["run", "summary"]
-        run = events[0]
+        assert [e["event"] for e in events] == [
+            "job_queued", "job_started", "job_result", "summary"]
+        assert len({e["trace"] for e in events[:3]}) == 1
+        run = events[2]
         assert run["spec"] == spec.describe()
         assert run["key"] == spec.cache_key()
         assert run["wall_s"] >= 0.0
         assert run["worker"] == os.getpid()
         assert run["attempt"] == 0
+        assert run["from_store"] is False
 
-    def test_pool_run_attributes_worker_process(self, tmp_path):
+    def test_parallel_run_attributes_worker_process(self, tmp_path):
         path = tmp_path / "run.jsonl"
         spec = RunSpec("libquantum", "standard", REFS)
         with JsonlLog(str(path)) as log:
             execute([spec], jobs=2, log=log)
-        run = next(e for e in _read_jsonl(path) if e["event"] == "run")
-        assert run["worker"] != os.getpid()  # ran in a pool process
+        run = next(e for e in _read_jsonl(path)
+                   if e["event"] == "job_result")
+        assert run["worker"] != os.getpid()  # ran in a worker process
         assert run["wall_s"] > 0.0
 
     def test_cache_hits_logged(self, tmp_path):
@@ -222,20 +295,22 @@ class TestTelemetryLog:
         with JsonlLog(str(path)) as log:
             execute([spec], jobs=1, log=log)
         events = _read_jsonl(path)
-        assert [e["event"] for e in events] == ["cache_hit", "summary"]
+        assert [e["event"] for e in events] == ["job_result", "summary"]
+        assert events[0]["from_store"] is True
         assert events[1]["cache_hits"] == 1
         assert events[1]["executed"] == 0
 
-    def test_failures_logged_with_retry_flag(self, tmp_path):
+    def test_failures_logged_with_retry_flag(self, tmp_path, monkeypatch):
+        _fail_first_runs(monkeypatch, None)
         path = tmp_path / "fail.jsonl"
         spec = RunSpec("libquantum", "standard", REFS)
         with JsonlLog(str(path)) as log:
             with pytest.raises(ExecutionError):
-                execute([spec], jobs=1, retries=1,
-                        worker=_always_fail_worker, log=log)
+                execute([spec], jobs=1, retries=1, log=log)
         events = _read_jsonl(path)
-        failures = [e for e in events if e["event"] == "failure"]
+        failures = [e for e in events if e["event"] == "job_failure"]
         assert [f["will_retry"] for f in failures] == [True, False]
+        assert "injected failure" in failures[0]["reason"]
         summary = events[-1]
         assert summary["event"] == "summary"
         assert summary["worker_failures"] == 2

@@ -104,6 +104,30 @@ class TestRunnerChokePoint:
         assert ledger_mod.current_origin() == "run"
 
 
+class TestOriginsThroughTheScheduler:
+    """Rows written by worker processes keep their entry point's origin."""
+
+    def test_run_jobs_rows_are_run(self, capsys):
+        from repro.cli import main
+
+        assert main(["run", "fig7b", "--refs", str(REFS),
+                     "--jobs", "2"]) == 0
+        rows = get_ledger().runs()
+        assert any(not row["cache_hit"] for row in rows)
+        assert {row["origin"] for row in rows} == {"run"}
+
+    def test_validate_jobs_rows_are_validate(self, monkeypatch, capsys):
+        from repro.cli import main
+        from repro.validate.engine import SCALES, Scale
+
+        monkeypatch.setitem(SCALES, "ci", Scale("ci", REFS, REFS))
+        main(["validate", "--scale", "ci", "--only", "fig7b-mpki-band",
+              "--jobs", "2"])
+        rows = get_ledger().runs()
+        assert any(not row["cache_hit"] for row in rows)
+        assert {row["origin"] for row in rows} == {"validate"}
+
+
 # ----------------------------------------------------------------------
 # Query API
 # ----------------------------------------------------------------------
@@ -285,10 +309,14 @@ class TestConcurrency:
                      for o in ("run", "service")}
         assert by_origin == {"run": 50, "service": 50}
 
-    def test_two_service_workers_completing_simultaneously(self):
+    def test_two_service_workers_completing_simultaneously(self,
+                                                           monkeypatch):
         from repro.service import protocol
 
         from repro.exec.plan import RunSpec
+
+        # What the server's worker processes run under.
+        monkeypatch.setenv(ledger_mod.ORIGIN_ENV, "service")
 
         barrier = multiprocessing.Barrier(2)
         traces = (new_trace_id(), new_trace_id())

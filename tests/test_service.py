@@ -77,7 +77,7 @@ class TestProtocol:
                                      "asym": {"no_such_field": 1}})
 
     def test_job_config_defaults_follow_executor(self):
-        from repro.exec.pool import DEFAULT_RETRIES
+        from repro.exec.batch import DEFAULT_RETRIES
 
         config = protocol.job_config_from_wire({"op": "submit", "id": 1})
         assert config == {"priority": 0, "retries": DEFAULT_RETRIES,
@@ -176,8 +176,8 @@ class TestWorker:
                        events.append)
         assert code == 0
         kinds = [event["event"] for event in events]
-        assert kinds == ["worker_result"]
-        assert events[0]["from_store"] is True
+        assert kinds == ["worker_started", "worker_result"]
+        assert events[-1]["from_store"] is True
 
     def test_fresh_run_streams_windows(self):
         spec = RunSpec("mcf", "das", REFS, 1)
@@ -205,9 +205,11 @@ class TestWorker:
                                                             monkeypatch):
         """Fresh and store-hit completions both show up in the run
         ledger as ``origin="service"`` rows carrying the job's trace."""
-        from repro.obs.ledger import get_ledger
+        from repro.obs.ledger import ORIGIN_ENV, get_ledger
 
         monkeypatch.delenv("REPRO_NO_LEDGER", raising=False)
+        # What the server's worker processes run under.
+        monkeypatch.setenv(ORIGIN_ENV, "service")
         spec = RunSpec("mcf", "das", REFS, 1)
         for trace in ("tfresh0000001", "tstore0000002"):
             assert run_job({"spec": protocol.spec_to_wire(spec),
@@ -254,7 +256,7 @@ class ServerHarness:
             self.server = ReproServer(**self._kwargs)
             await self.server.start()
             self._ready.set()
-            await self.server.serve_until_closed()
+            await self.server.wait_closed()
 
         try:
             self.loop.run_until_complete(main())
@@ -443,6 +445,25 @@ class TestServerRetries:
         assert events.count("retry") == 1
         assert _counter(harness.server, "worker_failures") == 2
         assert _counter(harness.server, "jobs_failed") == 1
+
+
+class TestLedgerOrigin:
+    def test_server_workers_record_service_rows(self, monkeypatch):
+        from repro.obs.ledger import ORIGIN_ENV, get_ledger
+
+        monkeypatch.delenv("REPRO_NO_LEDGER", raising=False)
+        monkeypatch.delenv(ORIGIN_ENV, raising=False)
+        instance = ServerHarness()
+        try:
+            with instance.client() as client:
+                outcome = client.submit_bench(RunSpec("mcf", "das", REFS, 1))
+        finally:
+            instance.stop()
+        assert outcome.ok
+        (key,) = outcome.results
+        rows = get_ledger().runs()
+        assert [(row["origin"], row["trace_id"], row["cache_hit"])
+                for row in rows] == [("service", outcome.traces[key], 0)]
 
 
 class TestStatusOp:
