@@ -134,9 +134,10 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--design", default="das", choices=DESIGNS)
     bench.add_argument("--refs", type=int, default=None)
     bench.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINES,
-                       help="simulation engine: 'interp' (reference "
-                            "interpreter) or 'compiled' (generated "
-                            "specialized kernel; bit-identical counters)")
+                       help="simulation engine: 'compiled' (generated "
+                            "specialized kernel, the default) or 'interp' "
+                            "(reference interpreter; bit-identical "
+                            "counters)")
     bench.add_argument("--no-cache", action="store_true")
     bench.add_argument("--profile", metavar="PATH", default=None,
                        help="profile the run under cProfile and write "

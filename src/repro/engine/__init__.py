@@ -2,22 +2,26 @@
 
 Two engines step the same model:
 
-* ``interp`` — the hand-tuned interpreted hot path in
-  :mod:`repro.controller.controller` and :mod:`repro.cpu.core`.  It is
-  the **reference oracle**: every counter it produces defines
-  correctness.
-* ``compiled`` — a per-configuration generated kernel
-  (:mod:`repro.engine.codegen`): the built device's
+* ``compiled`` — the default: a per-configuration generated kernel
+  (:mod:`repro.engine.codegen`).  The built device's
   :class:`~repro.dram.timing.TimingTable` values, design geometry and
   policy structure are elaborated into flattened, branch-specialized
   Python source, compiled with :func:`compile` and cached on disk
-  under ``<store root>/kernels/`` keyed by (design hash,
-  ``CODE_VERSION``) — see :mod:`repro.engine.kernels`.
+  under ``<store root>/kernels/`` keyed by (``CODE_VERSION``, codegen
+  source digest, seed-free config hash) — see
+  :mod:`repro.engine.kernels`.
+* ``interp`` — the hand-tuned interpreted hot path in
+  :mod:`repro.controller.controller` and :mod:`repro.cpu.core`.  It is
+  the **reference oracle**: every counter it produces defines
+  correctness.  Callers select it by name: event tracing
+  (``repro events``), ``repro engine verify`` and the tests.
 
 The contract between them is **bit identity**: at any scale, both
 engines must produce byte-identical :class:`~repro.sim.metrics.RunMetrics`
 dictionaries.  ``repro engine verify`` (:mod:`repro.engine.verify`)
-enforces it locally and in CI.
+enforces it locally and in CI.  Engine choice is therefore an
+execution detail: results are keyed without it, so a result computed
+by either engine answers a request for the other.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from typing import Sequence
 #: The engine vocabulary, in precedence order.
 ENGINES = ("interp", "compiled")
 
-#: The reference oracle; also the engine implied by historical cache keys.
-DEFAULT_ENGINE = "interp"
+#: The engine every simulation uses unless its caller names the oracle.
+DEFAULT_ENGINE = "compiled"
 
 
 def validate_engine(engine: str) -> str:
@@ -53,3 +57,16 @@ def attach_compiled_engine(memory, hierarchy, cores: Sequence, config) -> None:
 
     module = load_kernel(config)
     module.install(memory, hierarchy, cores)
+
+
+def detach_compiled_engine(memory, cores: Sequence) -> None:
+    """Drop the closures :func:`attach_compiled_engine` installed.
+
+    The closures capture the system they step, so while they sit on its
+    instances a finished system lives in a reference cycle until a full
+    garbage collection.  Removing them lets refcounting free it at once,
+    as it frees an interpreted system.
+    """
+    vars(memory).pop("_drain_channel", None)
+    for core in cores:
+        vars(core).pop("advance", None)

@@ -1149,6 +1149,17 @@ def _build_context(config: SystemConfig) -> dict:
     }
 
 
+def kernel_key(config: SystemConfig) -> str:
+    """The configuration identity of a kernel: the config hash sans seed.
+
+    The seed reaches a run only through its traces and the seeded
+    random state the kernel reads from the live system; no emitted
+    literal depends on it, so every seed of one configuration shares
+    one kernel.
+    """
+    return config.replace(seed=0).cache_key()
+
+
 def kernel_source(config: SystemConfig) -> str:
     """Emit the kernel module source for one configuration.
 
@@ -1218,18 +1229,19 @@ llc_lat = memory.manager.llc_latency_ns
 
 design={ctx["design"]} num_cores={ctx["num_cores"]} \
 code_version={CODE_VERSION}
-config={config.cache_key()}
+config={kernel_key(config)}
 
 Emitted by repro.engine.codegen.kernel_source; regenerated whenever
-(CODE_VERSION, config) changes.  install() raises RuntimeError if the
-live system's constants disagree with the literals baked in here.
+(CODE_VERSION, codegen source, seed-free config) changes.  install()
+raises RuntimeError if the live system's constants disagree with the
+literals baked in here.
 """
 
 import math
 
 from repro.dram import channel as _channel_mod
 {imports}
-CONFIG_KEY = "{config.cache_key()}"
+CONFIG_KEY = "{kernel_key(config)}"
 CODE_VERSION = {CODE_VERSION}
 DESIGN = "{ctx["design"]}"
 

@@ -3,9 +3,14 @@
 Kernels live as plain Python source files under
 ``<store root>/kernels/`` (``.repro_cache/kernels/`` by default,
 ``REPRO_CACHE_DIR`` relocates them with the result store), one file per
-configuration::
+configuration, seed left out (:func:`repro.engine.codegen.kernel_key`)::
 
-    kernel-v<CODE_VERSION>-<config.cache_key()>.py
+    kernel-v<CODE_VERSION>-<codegen digest>-<kernel_key(config)>.py
+
+The codegen digest (:func:`codegen_digest`) is a sha256 prefix of
+:mod:`repro.engine.codegen`'s own source, so a kernel written by any
+other code generator is never loaded, whether or not ``CODE_VERSION``
+was bumped.
 
 Keeping the *source* on disk — not marshalled code objects — makes a
 kernel diffable (CI uploads these files as artifacts when equivalence
@@ -16,20 +21,23 @@ Cache hygiene mirrors the result store's rules:
 
 * **Writes** go to a temp file then ``os.replace`` — readers see the
   old or the new kernel, never a torn one.
-* **Version staleness**: files whose embedded ``CODE_VERSION`` differs
-  from the running one are unlinked on sight (a stale kernel encodes
-  the *old* model's arithmetic — the one hazard the bit-identity
-  contract cannot tolerate).  The unlink uses the store's inode+mtime
-  guard so it can never eat a file a concurrent process just rewrote.
+* **Staleness**: files whose ``CODE_VERSION`` or codegen digest
+  differs from the running one's are unlinked on sight (a stale kernel
+  encodes the *old* model's arithmetic — the one hazard the
+  bit-identity contract cannot tolerate).  The unlink uses the store's
+  inode+mtime guard so it can never eat a file a concurrent process
+  just rewrote.
 * **Corruption**: a cached file that fails to compile or install is
   regenerated and overwritten, not trusted.
 
-Loaded kernels are additionally memoised per (config key) in-process,
+Loaded kernels are additionally memoised per kernel key in-process,
 so a sweep over seeds or workloads generates each design's kernel once.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import os
 import re
 import tempfile
@@ -39,13 +47,26 @@ from typing import Dict
 
 from ..common.config import SystemConfig
 from ..common.version import CODE_VERSION
-from .codegen import kernel_source
+from . import codegen
+from .codegen import kernel_key, kernel_source
 
-#: Kernel filenames: ``kernel-v<version>-<config key>.py``.
-_KERNEL_NAME_RE = re.compile(r"^kernel-v(\d+)-[0-9a-f]+\.py$")
+#: Kernel filenames: ``kernel-v<version>-<codegen digest>-<kernel key>.py``;
+#: files from before the digest lack its group and are always stale.
+_KERNEL_NAME_RE = re.compile(
+    r"^kernel-v(\d+)-(?:([0-9a-f]+)-)?[0-9a-f]+\.py$")
 
-#: In-process memo of installed-ready kernel modules by config key.
+#: In-process memo of installed-ready kernel modules by kernel key.
 _MODULES: Dict[str, types.ModuleType] = {}
+
+
+@functools.lru_cache(maxsize=None)
+def codegen_digest() -> str:
+    """sha256 prefix of the code generator's source.
+
+    The kernel identity beside ``CODE_VERSION``: an edit to the
+    generator changes it even when nobody bumps the version.
+    """
+    return hashlib.sha256(Path(codegen.__file__).read_bytes()).hexdigest()[:12]
 
 
 def kernels_dir() -> Path:
@@ -57,7 +78,8 @@ def kernels_dir() -> Path:
 
 def kernel_path(config: SystemConfig) -> Path:
     """The on-disk source path for one configuration's kernel."""
-    return kernels_dir() / f"kernel-v{CODE_VERSION}-{config.cache_key()}.py"
+    return kernels_dir() / (
+        f"kernel-v{CODE_VERSION}-{codegen_digest()}-{kernel_key(config)}.py")
 
 
 def _unlink_stale(path: Path, read_stat: os.stat_result) -> None:
@@ -83,23 +105,25 @@ def _unlink_stale(path: Path, read_stat: os.stat_result) -> None:
 
 
 def purge_stale_kernels(directory: Path) -> int:
-    """Drop kernels generated by another ``CODE_VERSION``; return count.
+    """Drop kernels from another ``CODE_VERSION`` or codegen; return count.
 
     Runs on every cache-directory visit (one ``scandir``), so a version
-    bump invalidates the whole kernel cache the first time the new code
-    touches it — the kernel analogue of the result store's versioned
-    keys, enforced by unlinking because kernel files are *executed*,
-    not just skipped.
+    bump or codegen edit invalidates the whole kernel cache the first
+    time the new code touches it — the kernel analogue of the result
+    store's versioned keys, enforced by unlinking because kernel files
+    are *executed*, not just skipped.
     """
     try:
         listing = os.scandir(directory)
     except OSError:
         return 0
     dropped = 0
+    digest = codegen_digest()
     with listing:
         for entry in listing:
             match = _KERNEL_NAME_RE.match(entry.name)
-            if match is None or int(match.group(1)) == CODE_VERSION:
+            if match is None or (int(match.group(1)) == CODE_VERSION
+                                 and match.group(2) == digest):
                 continue
             try:
                 stat = entry.stat()
@@ -149,7 +173,7 @@ def load_kernel(config: SystemConfig) -> types.ModuleType:
     overwritten.  With ``REPRO_NO_CACHE=1`` generation is purely
     in-memory (matching the result store's behaviour).
     """
-    key = config.cache_key()
+    key = kernel_key(config)
     module = _MODULES.get(key)
     if module is not None:
         return module

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from ..common.config import AsymmetricConfig, ControllerConfig
+from ..engine import DEFAULT_ENGINE
 from ..sim.metrics import RunMetrics
 from ..sim.runner import run_cache_key, run_workload
 
@@ -32,7 +33,9 @@ class RunSpec:
     process boundaries on their way to workers, see
     :mod:`repro.service.protocol`) and cheap to compare.
     ``references=None`` means "the runner's default length for this
-    workload kind", exactly as it does for ``run_workload``.
+    workload kind", exactly as it does for ``run_workload``.  ``engine``
+    only says how to step the run; specs that differ in nothing else
+    share one cache key, so the planner runs them once.
     """
 
     workload: str
@@ -41,13 +44,12 @@ class RunSpec:
     seed: int = 1
     asym: Optional[AsymmetricConfig] = None
     controller: Optional[ControllerConfig] = None
-    engine: str = "interp"
+    engine: str = DEFAULT_ENGINE
 
     def cache_key(self) -> str:
         """The runner's disk-cache key for this spec."""
         return run_cache_key(self.workload, self.design, self.references,
-                             self.seed, self.asym, self.controller,
-                             engine=self.engine)
+                             self.seed, self.asym, self.controller)
 
     def run(self, use_cache: bool = True, **options) -> RunMetrics:
         """Execute (or recall) this spec through the cached runner.
@@ -65,7 +67,7 @@ class RunSpec:
         parts = [self.workload, self.design]
         if self.seed != 1:
             parts.append(f"seed={self.seed}")
-        if self.engine != "interp":
+        if self.engine != DEFAULT_ENGINE:
             parts.append(self.engine)
         return "/".join(parts)
 

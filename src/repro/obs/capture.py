@@ -5,6 +5,8 @@ no events, and baking the tracer configuration into the cache key would
 fragment the cache for every capacity choice.  ``trace_workload`` simply
 re-simulates with a tracer attached — the run is deterministic, so its
 metrics equal what ``run_workload`` returns for the same arguments.
+The generated kernel has no emission sites, so traced runs always step
+on the reference interpreter.
 """
 
 from __future__ import annotations
@@ -38,5 +40,6 @@ def trace_workload(
     tracer = EventTracer(capacity)
     metrics = fresh_run(
         workload, config, references, seed, tracer=tracer,
-        timeline_interval=default_timeline_interval(references, num_cores))
+        timeline_interval=default_timeline_interval(references, num_cores),
+        engine="interp")
     return metrics, tracer

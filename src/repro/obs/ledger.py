@@ -537,9 +537,10 @@ def record_run(
     fields are derived from it.  ``origin`` defaults to the scoped
     :func:`current_origin`; ``trace_id`` defaults to a freshly minted
     id so every row is correlatable even off the service path; ``engine``
-    names the stepping implementation that produced (or originally
-    produced, for cache hits) the result.  No-op (returning ``None``)
-    when the ledger is disabled, and never raises.
+    names the stepping implementation that produced the result (for a
+    cache hit, the one requested: both engines share one result key).
+    No-op (returning ``None``) when the ledger is disabled, and never
+    raises.
     """
     if not ledger_enabled():
         return None

@@ -21,6 +21,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from ..engine import DEFAULT_ENGINE
 from .ledger import RunLedger, get_ledger
 from .render import format_number
 
@@ -176,10 +177,10 @@ def _runs_section(runs: List[Dict[str, object]], limit: int) -> str:
         origin = _esc(r["origin"])
         source = ('<span class="badge hit">cache</span>' if r["cache_hit"]
                   else '<span class="badge fresh">fresh</span>')
-        # The engine badge marks generated-kernel runs; the interpreter
-        # is the unadorned default, so it stays badge-free.
+        # The engine badge marks runs off the default engine (the
+        # interpreter oracle); default-engine runs stay badge-free.
         engine = (r.get("engine") or "interp")
-        engine_cell = ("interp" if engine == "interp" else
+        engine_cell = (engine if engine == DEFAULT_ENGINE else
                        f'<span class="badge engine">{_esc(engine)}</span>')
         rows.append([
             _esc(_stamp(r["ts"])), _esc(r["workload"]), _esc(r["design"]),

@@ -137,9 +137,9 @@ def spec_from_wire(data: Dict[str, object]) -> RunSpec:
     """
     if "workload" not in data:
         raise ProtocolError("spec missing 'workload'")
-    from ..engine import ENGINES
+    from ..engine import DEFAULT_ENGINE, ENGINES
 
-    engine = str(data.get("engine", "interp"))
+    engine = str(data.get("engine", DEFAULT_ENGINE))
     if engine not in ENGINES:
         raise ProtocolError(
             f"unknown engine {engine!r} (choose from {', '.join(ENGINES)})")

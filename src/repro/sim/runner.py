@@ -7,6 +7,12 @@ so results are memoised in the content-addressed result store under
 benchmark harness fast when regenerating multiple figures that share
 runs (e.g. every figure needs the standard baseline), and lets the job
 server (``repro serve``) answer completed work without re-simulating.
+
+Runs use the generated-kernel engine by default (``engine="compiled"``,
+see :mod:`repro.engine`); ``engine="interp"`` selects the reference
+interpreter.  The two are bit-identical, so the engine is not part of
+a result's key: either engine's stored result answers a request for
+the other, and only the run ledger records which one actually ran.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from ..common.config import AsymmetricConfig, ControllerConfig, SystemConfig
 from ..common.rng import derive_seed
 from ..common.version import CODE_VERSION
 from ..core.variants import PROFILED_DESIGNS
+from ..engine import DEFAULT_ENGINE, validate_engine
 from ..trace.multiprog import MIXES, build_mix_traces
 from ..trace.record import AccessTuple
 from ..trace.spec2006 import PROFILES, build_trace
@@ -135,19 +142,6 @@ def resolve_run_shape(workload: str,
     return num_cores, references
 
 
-def _engine_key_suffix(engine: str) -> str:
-    """Cache-key marker separating per-engine results.
-
-    The interpreter keeps its historical keys (empty suffix) so every
-    pre-existing cached result stays addressable; any other engine gets
-    an explicit marker so interp/compiled results can never alias even
-    though their payloads are required to be bit-identical.
-    """
-    from ..engine import DEFAULT_ENGINE
-
-    return "" if engine == DEFAULT_ENGINE else f"-eng={engine}"
-
-
 def _workload_key_token(workload: str) -> str:
     """Content-addressing token for file-backed workloads.
 
@@ -169,14 +163,22 @@ def run_cache_key(
     seed: int = 1,
     asym: Optional[AsymmetricConfig] = None,
     controller: Optional[ControllerConfig] = None,
-    engine: str = "interp",
+    engine: str = DEFAULT_ENGINE,
 ) -> str:
-    """The disk-cache key :func:`run_workload` would use for these args."""
+    """The disk-cache key :func:`run_workload` would use for these args.
+
+    ``engine`` is accepted for call-site symmetry and ignored: both
+    engines share one key.
+    """
     num_cores, references = resolve_run_shape(workload, references)
     config = make_config(design, num_cores=num_cores, seed=seed, asym=asym,
                          controller=controller)
+    return _run_key(workload, references, config)
+
+
+def _run_key(workload: str, references: int, config: SystemConfig) -> str:
     return (f"v{CODE_VERSION}-{workload}{_workload_key_token(workload)}-"
-            f"{references}-{config.cache_key()}{_engine_key_suffix(engine)}")
+            f"{references}-{config.cache_key()}")
 
 
 def fresh_run(
@@ -187,7 +189,7 @@ def fresh_run(
     tracer=None,
     timeline_interval: Optional[int] = None,
     on_window: Optional[Callable[[Dict[str, object]], None]] = None,
-    engine: str = "interp",
+    engine: str = DEFAULT_ENGINE,
 ) -> RunMetrics:
     """Simulate one run from scratch (no cache involvement).
 
@@ -230,7 +232,7 @@ def run_workload(
     controller: Optional[ControllerConfig] = None,
     use_cache: bool = True,
     timeline: bool = True,
-    engine: str = "interp",
+    engine: str = DEFAULT_ENGINE,
     *,
     on_window: Optional[Callable[[Dict[str, object]], None]] = None,
     trace_id: Optional[str] = None,
@@ -249,6 +251,9 @@ def run_workload(
     itself (see ``benchmarks/bench_exec.py``) — a result computed with
     ``timeline=False`` stores an empty series under the same cache key.
 
+    ``engine`` picks how a fresh run is stepped; it does not enter the
+    result key, so a stored result answers either engine.
+
     ``on_window`` observes each timeline window of a fresh run as it
     closes (see :func:`fresh_run`); ``trace_id`` tags the ledger row
     (the job server's workers pass their job's id).
@@ -259,15 +264,13 @@ def run_workload(
     with no wiring of their own.  ``REPRO_NO_LEDGER=1`` reduces that to
     a single environment lookup.
     """
-    from ..engine import validate_engine
     from ..obs import ledger
 
     validate_engine(engine)
     num_cores, references = resolve_run_shape(workload, references)
     config = make_config(design, num_cores=num_cores, seed=seed, asym=asym,
                          controller=controller)
-    key = (f"v{CODE_VERSION}-{workload}{_workload_key_token(workload)}-"
-           f"{references}-{config.cache_key()}{_engine_key_suffix(engine)}")
+    key = _run_key(workload, references, config)
     record = ledger.ledger_enabled()
     started = time.monotonic() if record else 0.0
     if use_cache:

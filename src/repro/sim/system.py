@@ -17,6 +17,7 @@ from ..core.manager import DASManager, StaticAsymmetricManager
 from ..core.variants import build_memory_system
 from ..cpu.multicore import MultiCoreSimulator
 from ..dram.address import AddressMapping
+from ..engine import DEFAULT_ENGINE, validate_engine
 from ..obs.stats import build_stats_tree
 from ..obs.timeline import TimelineSampler
 from ..trace.record import AccessTuple
@@ -61,7 +62,7 @@ def simulate(
     tracer=None,
     timeline_interval_refs: Optional[int] = None,
     on_window: Optional[Callable[[Dict[str, object]], None]] = None,
-    engine: str = "interp",
+    engine: str = DEFAULT_ENGINE,
 ) -> RunMetrics:
     """Build and run one system; return its measured metrics.
 
@@ -77,9 +78,10 @@ def simulate(
     identical with or without an observer.
 
     ``engine`` selects the stepping implementation (see
-    :mod:`repro.engine`): ``interp`` runs the reference interpreter;
-    ``compiled`` swaps the hot loops for the configuration's generated
-    kernel after the system is built.  Both produce bit-identical
+    :mod:`repro.engine`): ``compiled`` (the default) swaps the hot loops
+    for the configuration's generated kernel after the system is built
+    and drops them again once the metrics are collected; ``interp``
+    runs the reference interpreter.  Both produce bit-identical
     metrics; the compiled engine rejects event tracing (the kernel has
     no emission sites — trace with the interpreter).
     """
@@ -100,18 +102,23 @@ def simulate(
         memory.manager.tracer = tracer
         for core in simulator.cores:
             core.tracer = tracer
-    if engine != "interp":
-        from ..engine import attach_compiled_engine, validate_engine
+    validate_engine(engine)
+    if engine != "interp" and tracer is not None:
+        raise ValueError(
+            f"engine {engine!r} does not support event tracing; "
+            "run the interpreter to capture traces")
+    # Resolved per call so wrappers installed on repro.engine (the
+    # benchmark's layer tracer) see every attach.
+    from ..engine import attach_compiled_engine, detach_compiled_engine
 
-        validate_engine(engine)
-        if tracer is not None:
-            raise ValueError(
-                "engine 'compiled' does not support event tracing; "
-                "run the interpreter to capture traces")
-        attach_compiled_engine(memory, hierarchy, simulator.cores, config)
-    simulator.run()
-    return collect_metrics(workload_name, config, simulator, hierarchy,
-                           memory, sampler=sampler)
+    try:
+        if engine != "interp":
+            attach_compiled_engine(memory, hierarchy, simulator.cores, config)
+        simulator.run()
+        return collect_metrics(workload_name, config, simulator, hierarchy,
+                               memory, sampler=sampler)
+    finally:
+        detach_compiled_engine(memory, simulator.cores)
 
 
 def collect_metrics(

@@ -2,15 +2,19 @@
 
 Covers the oracle contract end to end at test scale: engine selection
 and validation, bit-identical interp/compiled metrics across every
-specialization family, cache-key separation (a compiled result must
-never answer an interpreter request or vice versa), the service path
-carrying ``engine`` over the wire into the worker, and the kernel
-cache's staleness/corruption hygiene.
+specialization family and every configuration the experiments plan,
+one shared cache key for both engines (a result stored by either
+answers the other), the service path carrying ``engine`` over the wire
+into the worker, finished systems freed by refcounting on both
+engines, and the kernel cache's identity, staleness and corruption
+hygiene.
 """
 
 from __future__ import annotations
 
+import gc
 import os
+import weakref
 
 import pytest
 
@@ -22,10 +26,16 @@ from repro.engine.verify import (
     summarize,
     verify_engines,
 )
-from repro.exec.plan import RunSpec
+from repro.exec.plan import RunSpec, plan_experiments
+from repro.experiments.registry import experiment_ids
 from repro.service import protocol
 from repro.service.worker import run_job
-from repro.sim.runner import run_cache_key, run_workload
+from repro.sim.runner import (
+    make_config,
+    resolve_run_shape,
+    run_cache_key,
+    run_workload,
+)
 
 #: Small enough for per-test simulation, large enough to exercise
 #: refresh, migrations and the promotion path.
@@ -51,7 +61,7 @@ def _metrics_dict(workload, design, engine, refs=REFS):
 
 class TestEngineSelection:
     def test_registry(self):
-        assert DEFAULT_ENGINE == "interp"
+        assert DEFAULT_ENGINE == "compiled"
         assert set(ENGINES) == {"interp", "compiled"}
 
     def test_validate_engine_rejects_unknown(self):
@@ -104,6 +114,60 @@ class TestEquivalence:
         assert {"standard", "fs", "sas", "das", "das_incl"} <= designs
         assert any(s.mix for s in VERIFY_SCENARIOS)
 
+    def test_every_planned_configuration_bit_identical(self, monkeypatch):
+        """The paper's experiments run on the compiled engine, so every
+        configuration they plan (seed aside) must match the oracle."""
+        from repro.engine.codegen import kernel_key
+
+        monkeypatch.setenv("REPRO_NO_LEDGER", "1")
+        first = {}
+        for spec in plan_experiments(experiment_ids()).specs:
+            num_cores, _ = resolve_run_shape(spec.workload, spec.references)
+            config = make_config(spec.design, num_cores, spec.seed,
+                                 spec.asym, spec.controller)
+            first.setdefault(kernel_key(config), spec)
+        shapes = {(spec.design, resolve_run_shape(spec.workload, None)[0])
+                  for spec in first.values()}
+        assert {design for design, _ in shapes} == {
+            "standard", "fs", "sas", "charm", "das", "das_fm", "das_incl"}
+        assert {cores for _, cores in shapes} == {1, 4}
+        for spec in first.values():
+            runs = [run_workload(spec.workload, spec.design, 300, spec.seed,
+                                 spec.asym, spec.controller, use_cache=False,
+                                 engine=engine).to_dict()
+                    for engine in ("interp", "compiled")]
+            assert first_difference(*runs) is None, spec.describe()
+
+
+class TestSystemLifetime:
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("workload", ["mcf", "M2"])
+    def test_finished_system_is_freed_without_gc(self, monkeypatch,
+                                                  workload, engine):
+        """A finished run leaves no reference cycle through its system:
+        refcounting alone frees it, on either engine."""
+        from repro.sim import system
+
+        monkeypatch.setenv("REPRO_NO_LEDGER", "1")
+        built = []
+        build = system.build_memory_system
+
+        def recording_build(*args, **kwargs):
+            memory = build(*args, **kwargs)
+            built.append(weakref.ref(memory))
+            return memory
+
+        monkeypatch.setattr(system, "build_memory_system", recording_build)
+        gc.collect()
+        gc.disable()
+        try:
+            run_workload(workload, "das", references=300, use_cache=False,
+                         engine=engine)
+            alive = sum(ref() is not None for ref in built)
+        finally:
+            gc.enable()
+        assert built and alive == 0
+
 
 class TestFirstDifference:
     def test_equal_trees(self):
@@ -125,7 +189,7 @@ class TestFirstDifference:
 
 
 # ----------------------------------------------------------------------
-# Cache-key separation
+# One cache key for both engines
 # ----------------------------------------------------------------------
 
 class TestCacheKeys:
@@ -135,18 +199,31 @@ class TestCacheKeys:
         assert interp == default
         assert "-eng=" not in interp
 
-    def test_compiled_key_is_distinct(self):
+    def test_engines_share_one_key(self):
         interp = run_cache_key("mcf", "das", REFS, 1, engine="interp")
         compiled = run_cache_key("mcf", "das", REFS, 1, engine="compiled")
-        assert compiled != interp
-        assert compiled.endswith("-eng=compiled")
-        assert compiled.startswith(interp)
+        assert compiled == interp
+        assert RunSpec("mcf", "das", REFS, 1, engine="interp").cache_key() \
+            == RunSpec("mcf", "das", REFS, 1).cache_key() == interp
 
-    def test_runspec_threads_engine_into_key(self):
-        spec = RunSpec("mcf", "das", REFS, 1, engine="compiled")
-        assert spec.cache_key().endswith("-eng=compiled")
-        assert "compiled" in spec.describe()
-        assert "interp" not in RunSpec("mcf", "das", REFS, 1).describe()
+    def test_runspec_describes_only_the_oracle(self):
+        assert "interp" in RunSpec("mcf", "das", REFS, 1,
+                                   engine="interp").describe()
+        assert "compiled" not in RunSpec("mcf", "das", REFS, 1).describe()
+
+    def test_interp_result_answers_a_compiled_request(self, monkeypatch):
+        from repro.sim import runner
+
+        stored = run_workload("mcf", "das", references=REFS,
+                              engine="interp")
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a stored result must answer the request")
+
+        monkeypatch.setattr(runner, "fresh_run", no_simulation)
+        recalled = run_workload("mcf", "das", references=REFS,
+                                engine="compiled")
+        assert recalled.to_dict() == stored.to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -158,9 +235,9 @@ class TestServiceEngine:
         spec = RunSpec("mcf", "das", REFS, 1, engine="compiled")
         assert protocol.spec_from_wire(protocol.spec_to_wire(spec)) == spec
 
-    def test_wire_default_is_interp(self):
+    def test_wire_default_is_default_engine(self):
         spec = protocol.spec_from_wire({"workload": "mcf"})
-        assert spec.engine == "interp"
+        assert spec.engine == DEFAULT_ENGINE
 
     def test_wire_rejects_unknown_engine(self):
         with pytest.raises(protocol.ProtocolError, match="engine"):
@@ -175,7 +252,7 @@ class TestServiceEngine:
         result = events[-1]
         assert result["event"] == "worker_result"
         assert result["from_store"] is False
-        assert result["key"].endswith("-eng=compiled")
+        assert result["key"] == run_cache_key("mcf", "das", REFS, 1)
         interp = _metrics_dict("mcf", "das", "interp")
         assert first_difference(interp, result["metrics"]) is None
 
@@ -197,8 +274,6 @@ class TestServiceEngine:
 
 class TestKernelCache:
     def _config(self):
-        from repro.sim.runner import make_config
-
         return make_config("das")
 
     def test_kernel_persists_under_store_root(self):
@@ -218,16 +293,57 @@ class TestKernelCache:
 
         directory = kernels.kernels_dir()
         directory.mkdir(parents=True, exist_ok=True)
-        stale = directory / f"kernel-v{CODE_VERSION - 1}-{'0' * 8}.py"
-        current = directory / f"kernel-v{CODE_VERSION}-{'0' * 8}.py"
+        digest = kernels.codegen_digest()
+        key = "0" * 8
+        stale = directory / f"kernel-v{CODE_VERSION - 1}-{digest}-{key}.py"
+        foreign = directory / f"kernel-v{CODE_VERSION}-{'f' * 12}-{key}.py"
+        undigested = directory / f"kernel-v{CODE_VERSION}-{key}.py"
+        current = directory / f"kernel-v{CODE_VERSION}-{digest}-{key}.py"
         unrelated = directory / "notes.txt"
-        for path in (stale, current, unrelated):
+        for path in (stale, foreign, undigested, current, unrelated):
             path.write_text("# placeholder\n")
         dropped = kernels.purge_stale_kernels(directory)
-        assert dropped == 1
-        assert not stale.exists()
+        assert dropped == 3
+        assert not any(path.exists()
+                       for path in (stale, foreign, undigested))
         assert current.exists()
         assert unrelated.exists()  # non-kernel files are never touched
+
+    def test_codegen_change_regenerates_the_kernel(self, monkeypatch):
+        from repro.engine import kernels
+
+        config = self._config()
+        kernels._MODULES.clear()
+        kernels.load_kernel(config)
+        old_path = kernels.kernel_path(config)
+        assert kernels.codegen_digest() in old_path.name
+        generated = []
+        source = kernels.kernel_source
+        monkeypatch.setattr(kernels, "kernel_source",
+                            lambda cfg: generated.append(cfg) or source(cfg))
+        monkeypatch.setattr(kernels, "codegen_digest", lambda: "0" * 12)
+        kernels._MODULES.clear()
+        module = kernels.load_kernel(config)
+        assert len(generated) == 1
+        assert not old_path.exists()
+        assert kernels.kernel_path(config).is_file()
+        assert hasattr(module, "install")
+
+    def test_seeds_of_one_design_share_one_kernel(self, monkeypatch):
+        from repro.engine import kernels
+
+        generated = []
+        source = kernels.kernel_source
+        monkeypatch.setattr(kernels, "kernel_source",
+                            lambda cfg: generated.append(cfg) or source(cfg))
+        kernels._MODULES.clear()
+        first = kernels.load_kernel(make_config("das", seed=1))
+        second = kernels.load_kernel(make_config("das", seed=2))
+        assert second is first
+        assert len(generated) == 1
+        kernels._MODULES.clear()
+        kernels.load_kernel(make_config("das", seed=3))  # from disk
+        assert len(generated) == 1
 
     def test_stale_unlink_spares_concurrent_replacement(self):
         """The inode+mtime guard: if another process atomically replaced

@@ -100,7 +100,7 @@ class TestTracedSimulation:
     def _simulate(self, tracer, design="das", refs=2500):
         config = make_config(design, num_cores=1, seed=1)
         return simulate(config, [build_trace("libquantum", 1)], refs,
-                        tracer=tracer)
+                        tracer=tracer, engine="interp")
 
     def test_traced_run_emits_expected_categories(self):
         tracer = EventTracer()
