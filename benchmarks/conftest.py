@@ -1,53 +1,24 @@
-"""Shared configuration for the benchmark suite.
+"""Shared setup for the observability guard audits in ``bench_exec.py``.
 
-Each benchmark regenerates one paper table/figure at a reduced scale
-(fewer references, and for the wide sweeps a representative workload
-subset) so the whole suite completes in minutes.  Full-scale regeneration
-is `repro run <id>` (see README).
-
-Scale knobs:
-
-* ``REPRO_BENCH_REFS``      — references per core for single-programming
-  benches (default 15000).
-* ``REPRO_BENCH_MIX_REFS``  — references per core for mixes (default 8000).
-
-Benchmarks bypass the on-disk result cache so they always measure real
-simulation work.
+Run them with ``PYTHONPATH=src python -m pytest benchmarks``.  The
+repo's speed is measured by ``perfbench/``; these audits only check
+that disabled observability stays free.  The audits bypass the on-disk
+result cache so they always measure real simulation work.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
-
-#: References per core for single-programming benches.
-SINGLE_REFS = int(os.environ.get("REPRO_BENCH_REFS", "15000"))
-
-#: References per core for multi-programming benches.
-MIX_REFS = int(os.environ.get("REPRO_BENCH_MIX_REFS", "8000"))
-
-#: Representative single-programming subset for the wide sweeps.
-BENCH_SUBSET = ["libquantum", "mcf", "lbm"]
-
-#: Representative mixes.
-MIX_SUBSET = ["M1", "M5"]
 
 
 @pytest.fixture(autouse=True)
 def _no_result_cache(monkeypatch, tmp_path):
-    """Point the result cache at a throwaway dir so benches measure work.
+    """Point the result cache at a throwaway dir so audits measure work.
 
     The run ledger is off too (its per-run SQLite insert is measured by
     its own dedicated guard in ``bench_exec.py``, not smeared across
-    every bench).
+    every audit).
     """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
     monkeypatch.setenv("REPRO_NO_LEDGER", "1")
-
-
-def run_once(benchmark, func, *args, **kwargs):
-    """Run ``func`` exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(func, args=args, kwargs=kwargs,
-                              rounds=1, iterations=1, warmup_rounds=0)

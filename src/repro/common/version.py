@@ -1,7 +1,7 @@
 """The model code version, shared by every cache layer.
 
-``CODE_VERSION`` stamps the run result store, the run ledger, perf
-baselines and the generated-kernel cache.  It lives here — below both
+``CODE_VERSION`` stamps the run result store, the run ledger and the
+generated-kernel cache.  It lives here — below both
 :mod:`repro.sim.runner` and :mod:`repro.engine` — so the engine's
 code generator can key its kernel files on it without importing the
 runner (which imports the system assembly, which imports the engine).

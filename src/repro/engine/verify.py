@@ -1,17 +1,17 @@
 """Engine-equivalence verification: ``repro engine verify``.
 
-Runs every perf-relevant simulation scenario twice — once on the
-``interp`` reference oracle, once on the ``compiled`` generated kernel
-— and deep-compares the full :class:`~repro.sim.metrics.RunMetrics`
-dictionaries.  The contract is **bit identity**: not "close", not
-"within tolerance" — every counter, latency sum, percentile, energy
-figure and stats-tree leaf must be equal.  Any difference is reported
+Runs every verify scenario twice — once on the ``interp`` reference
+oracle, once on the ``compiled`` generated kernel — and deep-compares
+the full :class:`~repro.sim.metrics.RunMetrics` dictionaries.  The
+contract is **bit identity**: not "close", not "within tolerance" —
+every counter, latency sum, percentile, energy figure and stats-tree
+leaf must be equal.  Any difference is reported
 with the path of the first divergent leaf, which usually names the
 mis-specialized branch in the generated kernel directly.
 
-Scenario scale follows the perf harness (``REPRO_PERF_REFS`` /
-``REPRO_PERF_MIX_REFS``), so CI verifies at exactly the scale the
-``BENCH_*`` baselines run at.  The scenario list deliberately covers
+Scenarios run at :data:`SINGLE_REFS` / :data:`MIX_REFS` references
+(``--refs`` overrides both); ``tests/test_perf_counters.py`` pins the
+exact counters at the same scale.  The scenario list deliberately covers
 every design family the code generator specializes differently:
 unmanaged (``standard``), static-managed (``sas``), chain-managed
 (``das``) and the four-core mix (blocked resolve path).
@@ -19,19 +19,17 @@ unmanaged (``standard``), static-managed (``sas``), chain-managed
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sim.runner import run_workload
 
 
-def _refs() -> int:
-    return int(os.environ.get("REPRO_PERF_REFS", "6000"))
+#: References per run of a single-core scenario.
+SINGLE_REFS = 6000
 
-
-def _mix_refs() -> int:
-    return int(os.environ.get("REPRO_PERF_MIX_REFS", "2500"))
+#: References per core of a four-core mix scenario.
+MIX_REFS = 2500
 
 
 @dataclass(frozen=True)
@@ -44,8 +42,8 @@ class VerifyScenario:
     mix: bool = False
 
     def references(self) -> int:
-        """The scenario's reference budget at the current perf scale."""
-        return _mix_refs() if self.mix else _refs()
+        """The scenario's default reference budget."""
+        return MIX_REFS if self.mix else SINGLE_REFS
 
 
 #: One scenario per specialization family the generator branches on.
@@ -112,7 +110,7 @@ def verify_engines(
     """Run the equivalence matrix; returns one result per scenario.
 
     ``names`` selects a subset (default: all); ``references`` overrides
-    the perf-scale budget (tests shrink it).  Both runs bypass the
+    the default budget (tests shrink it).  Both runs bypass the
     result cache — a cached interpreter result would hide a divergent
     kernel behind a store hit.
     """

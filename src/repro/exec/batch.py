@@ -78,7 +78,7 @@ class ExecutionReport:
     @property
     def done(self) -> int:
         """Jobs finished so far (success or failure)."""
-        return self.cache_hits + self.executed
+        return self.cache_hits + self.executed + len(self.failed)
 
     @property
     def runs_per_sec(self) -> float:

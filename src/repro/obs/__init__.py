@@ -13,7 +13,6 @@ Built on :mod:`repro.common.statistics`:
   (``repro compare``);
 * :mod:`repro.obs.render` — shared aligned-table/number formatting used
   by the compare and validation reports;
-* :mod:`repro.obs.perf` — perf-regression baselines (``repro perf``);
 * :mod:`repro.obs.metrics` — the labels-aware counter/gauge/histogram
   registry with Prometheus text exposition that the job service scrapes
   (``repro serve --metrics-port`` / ``repro top``);

@@ -260,7 +260,7 @@ def run_workload(
 
     Every completed call — cache hit or fresh — lands one row in the
     run ledger (:mod:`repro.obs.ledger`), so the CLI, the scheduler's
-    workers, ``repro perf`` and ``repro validate`` all build history
+    workers and ``repro validate`` all build history
     with no wiring of their own.  ``REPRO_NO_LEDGER=1`` reduces that to
     a single environment lookup.
     """

@@ -134,34 +134,6 @@ class TestCompare:
         assert "unknown workload" in capsys.readouterr().err
 
 
-class TestPerf:
-    def test_list_names_scenarios(self, capsys):
-        assert main(["perf", "list"]) == 0
-        out = capsys.readouterr().out
-        assert "single_das" in out
-        assert "exec_fig7a" in out
-
-    def test_record_then_check(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_PERF_REFS", "1500")
-        base_dir = tmp_path / "baselines"
-        assert main(["perf", "record", "single_das",
-                     "--dir", str(base_dir)]) == 0
-        capsys.readouterr()
-        assert main(["perf", "check", "single_das", "--dir",
-                     str(base_dir), "--skip-wall"]) == 0
-        assert "all perf baselines hold" in capsys.readouterr().out
-
-    def test_check_missing_baseline_fails(self, capsys, tmp_path,
-                                          monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_PERF_REFS", "1500")
-        assert main(["perf", "check", "single_das",
-                     "--dir", str(tmp_path / "empty"),
-                     "--skip-wall"]) == 1
-        assert "missing" in capsys.readouterr().err
-
-
 class TestEvents:
     def test_writes_chrome_trace(self, capsys, tmp_path, monkeypatch):
         import json

@@ -254,6 +254,28 @@ class TestRetry:
         assert "libquantum" in report.failed[0]
         assert report.worker_failures == 2  # initial attempt + 1 retry
 
+    def test_failed_specs_count_as_done(self, monkeypatch):
+        """A spec that exhausts its retries is finished: the batch's
+        final progress update must report ``done == total``."""
+        from repro.service import worker
+
+        real = worker.run_job
+
+        def fail_standard(payload, emit):
+            if payload["spec"]["design"] == "standard":
+                emit({"event": "worker_error", "message": "injected failure"})
+                return 1
+            return real(payload, emit)
+
+        monkeypatch.setattr(worker, "run_job", fail_standard)
+        specs = [RunSpec("libquantum", "standard", REFS),
+                 RunSpec("libquantum", "das", REFS)]
+        with pytest.raises(ExecutionError) as excinfo:
+            execute(specs, jobs=1, retries=0, use_cache=False)
+        report = excinfo.value.report
+        assert len(report.failed) == 1 and report.executed == 1
+        assert report.done == report.total == 2
+
 
 def _read_jsonl(path):
     with open(path) as stream:

@@ -13,16 +13,21 @@ from repro.experiments import (
     fig7b,
     fig7c,
     fig7d,
+    fig7e,
+    fig7f,
     fig8a,
+    fig8b,
     fig8c,
     fig9a,
     fig9b,
     fig9c,
+    fig9d,
     inclusive_vs_exclusive,
     migration_latency_sweep,
     power_study,
     replacement_policy_ablation,
 )
+from repro.experiments.fig8 import THRESHOLDS
 
 REFS = 4000
 ONE = ["libquantum"]
@@ -51,27 +56,47 @@ class TestSingleProgramHarnesses:
         static_total = (row["static_rowbuf"] + row["static_fast"]
                         + row["static_slow"])
         assert static_total == pytest.approx(100.0, abs=0.5)
+        dynamic_total = (row["dynamic_rowbuf"] + row["dynamic_fast"]
+                         + row["dynamic_slow"])
+        assert dynamic_total == pytest.approx(100.0, abs=0.5)
 
     def test_fig8a(self):
         result = fig8a(references=REFS, workloads=ONE)
         assert set(result.columns) == {"workload", "t8", "t4", "t2", "t1"}
+        assert result.row_by("workload", "gmean")
+
+    def test_fig8b(self):
+        result = fig8b(references=REFS, workloads=["mcf"])
+        assert [r["threshold"] for r in result.rows] == list(THRESHOLDS)
 
     def test_fig8c(self):
         result = fig8c(references=REFS, workloads=ONE)
         assert all(v >= 0 for k, v in result.rows[0].items()
                    if k != "workload")
 
+    def test_fig8c_filtering_cannot_add_promotions(self):
+        row = fig8c(references=REFS, workloads=["mcf"]).rows[0]
+        assert row["t8"] <= row["t1"] + 1e-9
+
     def test_fig9a(self):
         result = fig9a(references=REFS, workloads=ONE)
         assert "128KB" in result.columns
+        assert result.row_by("workload", "gmean")
 
     def test_fig9b(self):
         result = fig9b(references=REFS, workloads=ONE)
         assert "32-row" in result.columns
+        assert result.row_by("workload", "gmean")
 
     def test_fig9c(self):
         result = fig9c(references=REFS, workloads=ONE)
         assert "1/8" in result.columns
+        assert result.row_by("workload", "gmean")
+
+    def test_fig9d(self):
+        result = fig9d(references=REFS, workloads=ONE)
+        assert "1/8" in result.columns
+        assert result.row_by("workload", "gmean")
 
     def test_power(self):
         result = power_study(references=REFS, workloads=ONE)
@@ -83,7 +108,15 @@ class TestMixHarness:
     def test_fig7d(self):
         result = fig7d(references=1500, workloads=["M5"])
         assert result.row_by("workload", "M5")
-        assert result.row_by("workload", "gmean")
+        assert result.row_by("workload", "gmean")["fs"] > 0
+
+    def test_fig7e(self):
+        result = fig7e(references=1500, workloads=["M5"])
+        assert all(v >= 0 for v in result.column("ppkm"))
+
+    def test_fig7f(self):
+        result = fig7f(references=1500, workloads=["M5"])
+        assert result.row_by("workload", "M5")
 
 
 class TestAblations:
@@ -91,12 +124,14 @@ class TestAblations:
         result = migration_latency_sweep(references=REFS, workloads=ONE)
         assert "0tRC" in result.columns
         assert "3tRC" in result.columns
+        assert result.row_by("workload", "gmean")
 
     def test_replacement(self):
         result = replacement_policy_ablation(references=REFS,
                                              workloads=ONE)
         assert set(result.columns) >= {"lru", "random", "sequential",
                                        "counter"}
+        assert result.row_by("workload", "gmean")
 
     def test_inclusive(self):
         result = inclusive_vs_exclusive(references=REFS, workloads=ONE)

@@ -1,11 +1,11 @@
 """Tests for the durable run ledger (:mod:`repro.obs.ledger`).
 
-Covers the recording choke points (runner facade, service worker, perf,
-validate), the query/prune API, the ``repro ledger`` / ``repro perf
-history`` / ``repro report`` CLI surface, and the two reliability
-properties the design leans on: concurrent writers both land rows (WAL
-+ busy timeout) and a corrupt/missing database is rebuilt without
-failing the simulation it was recording.
+Covers the recording choke points (runner facade, service worker,
+validate), the query/prune API, the ``repro ledger`` / ``repro report``
+CLI surface, and the two reliability properties the design leans on:
+concurrent writers both land rows (WAL + busy timeout) and a
+corrupt/missing database is rebuilt without failing the simulation it
+was recording.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ class TestRunnerChokePoint:
         assert not ledger_path().exists()
 
     def test_no_cache_runs_still_record(self):
-        # perf scenarios run with use_cache=False; they must still show
-        # up in history.
+        # engine verify and the counter pins run with use_cache=False;
+        # they must still show up in history.
         run_workload("libquantum", "das", references=REFS,
                      use_cache=False)
         rows = get_ledger().runs()
@@ -94,10 +94,10 @@ class TestRunnerChokePoint:
         assert origins == {"libquantum": "validate", "mcf": "run"}
 
     def test_origin_scope_restores_previous_value(self, monkeypatch):
-        monkeypatch.setenv(ledger_mod.ORIGIN_ENV, "perf")
+        monkeypatch.setenv(ledger_mod.ORIGIN_ENV, "service")
         with ledger_origin("validate"):
             assert ledger_mod.current_origin() == "validate"
-        assert ledger_mod.current_origin() == "perf"
+        assert ledger_mod.current_origin() == "service"
         monkeypatch.delenv(ledger_mod.ORIGIN_ENV)
         with ledger_origin("service"):
             pass
@@ -183,33 +183,36 @@ class TestQueries:
     def test_stats_counts_every_table(self):
         ledger = get_ledger()
         _seed_rows(ledger, n=2)
-        ledger.record_perf("single_das", "record", 1.5, {"refs": 1},
-                           10, {"refs": 6000, "mix_refs": 2500})
         ledger.record_validate("ci", True,
                                {"pass": 3, "fail": 0, "skip": 1,
                                 "error": 0}, 10, "simulated")
         stats = ledger.stats()
         assert stats["runs"] == 2
-        assert stats["perf_runs"] == 1
         assert stats["validate_runs"] == 1
         assert stats["first_ts"] < stats["last_ts"]
 
-    def test_perf_history_is_chronological_and_decoded(self):
-        ledger = get_ledger()
-        now = time.time()
-        for i in range(3):
-            ledger.record_perf("single_das", "check", 1.0 + i,
-                               {"instructions": 100 + i}, 10,
-                               {"refs": 6000, "mix_refs": 2500},
-                               ts=now + i)
-        rows = ledger.perf_history("single_das")
-        assert [r["wall_s"] for r in rows] == [1.0, 2.0, 3.0]
-        assert rows[0]["counters"] == {"instructions": 100}
-        assert rows[0]["scale"] == {"refs": 6000, "mix_refs": 2500}
-        # limit keeps the most recent N, still oldest-first.
-        assert [r["wall_s"]
-                for r in ledger.perf_history("single_das", limit=2)] \
-            == [2.0, 3.0]
+    def test_unknown_legacy_tables_are_left_alone(self, tmp_path):
+        # Databases written by older versions may carry tables the
+        # schema no longer declares: they are neither read, dropped nor
+        # migrated, and the database is not rebuilt over them.
+        db = tmp_path / "old" / "ledger.db"
+        db.parent.mkdir()
+        conn = sqlite3.connect(str(db))
+        conn.execute("CREATE TABLE old_history (id INTEGER PRIMARY KEY, "
+                     "scenario TEXT NOT NULL)")
+        conn.execute("INSERT INTO old_history (scenario) VALUES ('x')")
+        conn.execute("PRAGMA user_version=2")
+        conn.commit()
+        conn.close()
+        ledger = RunLedger(db)
+        _seed_rows(ledger, n=1)
+        stats = ledger.stats()
+        assert stats["runs"] == 1 and "old_history" not in stats
+        assert ledger.rebuilds == 0
+        conn = sqlite3.connect(str(db))
+        assert conn.execute(
+            "SELECT COUNT(*) FROM old_history").fetchone()[0] == 1
+        conn.close()
 
     def test_latest_validate(self):
         ledger = get_ledger()
@@ -247,17 +250,15 @@ class TestPrune:
         assert result["overflow"] == 3
         assert len(ledger.runs()) == 4
 
-    def test_perf_and_validate_history_survive_pruning(self):
+    def test_validate_history_survives_pruning(self):
         ledger = get_ledger()
         _seed_rows(ledger)
-        ledger.record_perf("single_das", "record", 1.0, {}, 10, {})
         ledger.record_validate("ci", True, {"pass": 1, "fail": 0,
                                             "skip": 0, "error": 0},
                                10, "simulated")
         ledger.prune(keep_last=0)
         stats = ledger.stats()
         assert stats["runs"] == 0
-        assert stats["perf_runs"] == 1
         assert stats["validate_runs"] == 1
 
 
@@ -448,68 +449,17 @@ class TestLedgerCli:
         assert len(json.loads(capsys.readouterr().out)) == 1
 
 
-class TestPerfHistoryCli:
-    def test_history_renders_trajectory_and_flags(self, tmp_path,
-                                                  capsys):
-        from repro.cli import main
-
-        ledger = get_ledger()
-        scale = {"refs": 6000, "mix_refs": 2500}
-        now = time.time()
-        for i, wall in enumerate((1.0, 1.05, 2.4)):
-            ledger.record_perf("single_das", "check", wall,
-                               {"instructions": 500}, 10, scale,
-                               ts=now + i)
-        baseline_dir = tmp_path / "baselines"
-        baseline_dir.mkdir()
-        (baseline_dir / "BENCH_single_das.json").write_text(json.dumps({
-            "name": "single_das", "code_version": 10, "scale": scale,
-            "wall_s": 1.0, "wall_tolerance": 0.2,
-            "counters": {"instructions": 500}}))
-        # The latest wall (2.4s) is far outside ±20% of the baseline.
-        code = main(["perf", "history", "single_das",
-                     "--dir", str(baseline_dir)])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert "3 measurement(s)" in captured.out
-        assert "committed baseline: 1.000s" in captured.out
-        assert "instructions" in captured.out
-        assert "[wall]" in captured.err
-
-        code = main(["perf", "history", "single_das",
-                     "--dir", str(baseline_dir), "--json"])
-        assert code == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert len(payload["rows"]) == 3
-        assert payload["findings"][0]["kind"] == "wall"
-
-    def test_history_without_measurements_or_baseline(self, tmp_path,
-                                                      capsys):
-        from repro.cli import main
-
-        assert main(["perf", "history", "single_das",
-                     "--dir", str(tmp_path)]) == 0
-        assert "no measurements" in capsys.readouterr().out
-        assert main(["perf", "history", "nonsense",
-                     "--dir", str(tmp_path)]) == 2
-        capsys.readouterr()
-
-
 class TestReportCli:
     def test_report_is_self_contained_html(self, tmp_path, capsys):
         from repro.cli import main
 
         ledger = get_ledger()
         _seed_rows(ledger)
-        ledger.record_perf("single_das", "record", 1.2,
-                           {"instructions": 500}, 10,
-                           {"refs": 6000, "mix_refs": 2500})
         ledger.record_validate("ci", True, {"pass": 5, "fail": 0,
                                             "skip": 1, "error": 0},
                                10, "simulated")
         out = tmp_path / "report.html"
-        assert main(["report", "--out", str(out),
-                     "--baseline-dir", str(tmp_path / "none")]) == 0
+        assert main(["report", "--out", str(out)]) == 0
         assert "report ->" in capsys.readouterr().out
         page = out.read_text()
         assert page.startswith("<!DOCTYPE html>")
@@ -517,11 +467,10 @@ class TestReportCli:
         for marker in ("http://", "https://", "<script", "url(",
                        "@import"):
             assert marker not in page, f"external reference: {marker}"
-        # Run table, breakdowns, perf trend and validate summary.
+        # Run table, breakdowns and validate summary.
         assert "libquantum" in page and "mcf" in page
         trace = ledger.runs()[0]["trace_id"]
         assert trace in page
-        assert "single_das" in page and "<svg" in page
         assert "PASS" in page
         assert "By design" in page and "By workload" in page
 
@@ -540,18 +489,8 @@ class TestReportCli:
         assert "<script>" not in page
         assert "&lt;script&gt;" in page
 
-    def test_report_with_baseline_draws_reference_line(self, tmp_path):
-        from repro.obs.report import build_report
-
-        ledger = get_ledger()
-        ledger.record_perf("single_das", "check", 1.0, {}, 10, {})
-        page = build_report(ledger, baselines={
-            "single_das": {"name": "single_das", "wall_s": 0.9}})
-        assert "committed baseline: 0.900s" in page
-
     def test_empty_ledger_still_renders(self):
         from repro.obs.report import build_report
 
         page = build_report(get_ledger())
-        assert "no perf measurements recorded yet" in page
         assert "no validate runs recorded yet" in page
