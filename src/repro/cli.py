@@ -827,10 +827,9 @@ def _status_command(args) -> int:
           f"({store.get('hits')} hits / {store.get('misses')} misses "
           f"this session)")
     counters = status.get("counters") or {}
-    flat = {k: v for k, v in counters.items() if not isinstance(v, dict)}
-    if flat:
+    if counters:
         print("counters: " + ", ".join(f"{k}={v}"
-                                       for k, v in sorted(flat.items())))
+                                       for k, v in sorted(counters.items())))
     return 0
 
 

@@ -421,15 +421,6 @@ class MemorySystem:
     # Migration support (called by the management layer)
     # ------------------------------------------------------------------
 
-    def occupy_bank(self, flat_bank: int, earliest: float,
-                    duration: float) -> float:
-        """Block a bank for a maintenance window immediately (power-down
-        staging and tests); returns the window end."""
-        _start, end = self.device.banks[flat_bank].occupy(earliest, duration)
-        if self.energy is not None:
-            self.energy.record_migration(duration)
-        return end
-
     def queue_migration(self, flat_bank: int, ready: float, duration: float,
                         subarrays=frozenset(), callback=None) -> bool:
         """Defer a promotion swap to the end of the bank's open burst (the

@@ -79,16 +79,6 @@ class MigrationEngine:
             commit()
         return True
 
-    def move(self, controller: MemorySystem, flat_bank: int,
-             earliest_ns: float, slow: TimingParams,
-             trc_multiple: float = 1.5) -> None:
-        """One-way row move (1.5 x tRC) — used by the inclusive-cache
-        extension when the victim is clean and by power-down staging."""
-        duration = trc_multiple * slow.tRC
-        if not self.is_free:
-            controller.occupy_bank(flat_bank, earliest_ns, duration)
-            self._busy.add(duration)
-
     @property
     def promotions(self) -> int:
         """Completed promotions so far."""

@@ -1,15 +1,11 @@
 """DRAM substrate: timing classes, address mapping, bank/rank/channel
-state machines and the assembled device."""
+state machines and the assembled device.
+
+``repro.dram.detailed`` (not re-exported) is the cycle-stepped
+command-level reference model the event engine is cross-checked
+against; the closed-form idle-latency check lives with its test."""
 
 from .address import AddressMapping, DecodedAddress
-from .analytical import (
-    ROW_CLOSED,
-    ROW_CONFLICT,
-    ROW_HIT,
-    idle_read_latency_ns,
-    idle_write_latency_ns,
-    validate_device,
-)
 from .bank import Bank, BankOp
 from .channel import IO_DELAY_NS, TURNAROUND_NS, Channel
 from .device import DRAMDevice, RowClassifier, homogeneous_classifier
@@ -27,12 +23,6 @@ from .timing import (
 __all__ = [
     "AddressMapping",
     "DecodedAddress",
-    "ROW_CLOSED",
-    "ROW_CONFLICT",
-    "ROW_HIT",
-    "idle_read_latency_ns",
-    "idle_write_latency_ns",
-    "validate_device",
     "Bank",
     "BankOp",
     "IO_DELAY_NS",

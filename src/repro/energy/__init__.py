@@ -1,12 +1,9 @@
-"""DRAM energy models: event-level meter and IDD-based power estimation."""
+"""DRAM energy: the per-command event meter behind the paper's §7.7
+power study."""
 
-from .idd import IDDCurrents, IDDPowerModel, PowerBreakdown
 from .model import EnergyMeter, EnergyParams
 
 __all__ = [
-    "IDDCurrents",
-    "IDDPowerModel",
-    "PowerBreakdown",
     "EnergyMeter",
     "EnergyParams",
 ]

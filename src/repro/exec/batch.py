@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional
 
+from ..obs.metrics import MetricsView
 from ..sim.metrics import RunMetrics
 from .plan import RunSpec, plan_references
 from .progress import NullProgress, ProgressLine
@@ -52,13 +53,28 @@ class ExecutionError(RuntimeError):
         self.report = report
 
 
+#: ``ExecutionReport`` count -> the scheduler counter family it reads.
+REPORT_COUNTERS = {
+    "cache_hits": "repro_jobs_store_answered_total",
+    "executed": "repro_jobs_simulated_total",
+    "retried": "repro_worker_retries_total",
+    "timeouts": "repro_worker_timeouts_total",
+    "worker_failures": "repro_worker_failures_total",
+}
+
+
 @dataclass
 class ExecutionReport:
-    """Telemetry of one :func:`execute` batch."""
+    """Telemetry of one :func:`execute` batch.
+
+    The counts are read from the scheduler's metrics registry
+    (:data:`REPORT_COUNTERS`), never kept separately.
+    """
 
     total: int = 0
     jobs: int = 1
-    #: Specs satisfied straight from the disk cache (no simulation).
+    #: Specs answered from the result store (at attach, or by the
+    #: worker's own lookup) without a simulation.
     cache_hits: int = 0
     #: Specs actually simulated by this batch.
     executed: int = 0
@@ -144,7 +160,6 @@ def execute(
     class Batch(Scheduler):
         def _on_job_done(self, job) -> None:
             report.results[job.key] = RunMetrics.from_dict(job.result)
-            report.executed += 1
             update(self)
 
         def _on_job_failed(self, job, message: str) -> None:
@@ -152,8 +167,11 @@ def execute(
             update(self)
 
     def update(scheduler: Scheduler) -> None:
+        counts = MetricsView(scheduler.metrics.collect())
+        for name, family in REPORT_COUNTERS.items():
+            setattr(report, name, int(counts.total(family)))
         progress.update(report.done, report.total, report.cache_hits,
-                        report.executed, scheduler.count("worker_failures"))
+                        report.executed, report.worker_failures)
 
     async def drive() -> None:
         # Forking is what makes a slot cheap (the simulator is already
@@ -174,7 +192,6 @@ def execute(
                                         retries=retries, timeout_s=timeout_s)
             if stored is not None:
                 report.results[key] = stored
-                report.cache_hits += 1
                 if log is not None:
                     log.event("job_result", key=key, spec=spec.describe(),
                               from_store=True)
@@ -182,9 +199,7 @@ def execute(
         update(batch)
         batch.request_shutdown()
         await batch.wait_closed()
-        report.retried = batch.count("worker_retries")
-        report.timeouts = batch.count("worker_timeouts")
-        report.worker_failures = batch.count("worker_failures")
+        update(batch)
 
     asyncio.run(drive())
     report.elapsed_s = time.monotonic() - started

@@ -22,7 +22,9 @@ Design constraints, in order:
   render`: ``# HELP``/``# TYPE`` headers, escaped label values,
   cumulative ``le`` buckets ending in ``+Inf``.  The same state exports
   as plain JSON via :meth:`MetricsRegistry.collect` for the service's
-  ``metrics`` protocol op and ``repro top``.
+  ``metrics`` protocol op, and :class:`MetricsView` is the one decoder
+  of that JSON: the ``status`` frame's counters, ``ExecutionReport``
+  and ``repro top`` all read the registry through it.
 
 Thread-safety note: children mutate plain floats/ints under the GIL;
 the scrape path (an ``http.server`` thread) only reads.  A scrape
@@ -40,6 +42,7 @@ from typing import (
     Dict,
     Iterable,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -456,3 +459,62 @@ class MetricsRegistry:
                 "samples": samples,
             }
         return out
+
+
+def flat_name(family: str) -> str:
+    """A family's flat counter name: ``repro_`` and ``_total`` stripped."""
+    return family.removeprefix("repro_").removesuffix("_total")
+
+
+class MetricsView:
+    """Read-only totals over :meth:`MetricsRegistry.collect` JSON.
+
+    Works the same on a live registry's ``collect()`` and on the
+    ``families`` of a ``metrics`` frame that crossed the wire; a family
+    that does not exist yet reads as zero / empty.
+    """
+
+    def __init__(self, families: Mapping[str, object]) -> None:
+        self.families = families
+
+    def _samples(self, name: str) -> List[Dict]:
+        return (self.families.get(name) or {}).get("samples") or []  # type: ignore[union-attr]
+
+    def total(self, name: str) -> float:
+        """A counter or gauge family's value summed over its children."""
+        return float(sum(sample["value"] for sample in self._samples(name)))
+
+    def by_label(self, name: str, label: str) -> Dict[str, float]:
+        """A labelled family's totals as ``{label_value: total}``."""
+        out: Dict[str, float] = {}
+        for sample in self._samples(name):
+            value = sample["labels"].get(label, "")
+            out[value] = out.get(value, 0.0) + sample["value"]
+        return out
+
+    def counters(self) -> Dict[str, float]:
+        """Every counter family's total under its :func:`flat_name`.
+
+        Integral totals come back as ``int``: every job and request
+        counter is a count.
+        """
+        totals = {flat_name(name): self.total(name)
+                  for name, family in self.families.items()
+                  if family["type"] == "counter"}  # type: ignore[index]
+        return {name: int(value) if value.is_integer() else value
+                for name, value in totals.items()}
+
+    def histogram(self, name: str
+                  ) -> Optional[Tuple[List[Tuple[float, float]], int]]:
+        """The first child of a histogram family as ``(buckets, count)``.
+
+        ``buckets`` are cumulative ``(le, count)`` floats (``"+Inf"``
+        parses as infinity) ready for :func:`quantile_from_buckets`;
+        ``None`` when the family has no child yet.
+        """
+        samples = self._samples(name)
+        if not samples:
+            return None
+        buckets = [(float(bound), float(count))
+                   for bound, count in samples[0]["buckets"]]
+        return buckets, int(samples[0]["count"])

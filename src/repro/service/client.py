@@ -239,30 +239,27 @@ class ServiceClient:
         """Attach to an in-flight job (or recall a stored result)."""
         return self._collect({"op": "watch", "key": key}, on_event)
 
+    def _answer(self, op: str) -> Dict[str, object]:
+        """The frame named ``op`` that answers a bare ``op`` request."""
+        frames = [event for event in self.request({"op": op})
+                  if event.get("event") == op]
+        if not frames:
+            raise ServiceError(f"server sent no {op} frame")
+        return frames[-1]
+
     def status(self) -> Dict[str, object]:
         """The server's status frame (counters, queue, store, clients)."""
-        status: Optional[Dict[str, object]] = None
-        for event in self.request({"op": "status"}):
-            if event.get("event") == "status":
-                status = event
-        if status is None:
-            raise ServiceError("server sent no status frame")
-        return status
+        return self._answer("status")
 
     def metrics(self) -> Dict[str, object]:
         """The server's metrics frame.
 
         Carries ``exposition`` (the Prometheus text a scrape of
         ``/metrics`` would return) and ``families`` (the same registry
-        as structured JSON — what ``repro top`` renders).
+        as structured JSON, read through
+        :class:`~repro.obs.metrics.MetricsView`).
         """
-        frame: Optional[Dict[str, object]] = None
-        for event in self.request({"op": "metrics"}):
-            if event.get("event") == "metrics":
-                frame = event
-        if frame is None:
-            raise ServiceError("server sent no metrics frame")
-        return frame
+        return self._answer("metrics")
 
     def shutdown(self) -> None:
         """Ask the server to drain and exit (returns immediately)."""

@@ -31,6 +31,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..exec.batch import DEFAULT_RETRIES
 from ..exec.plan import RunSpec
 from ..obs.metrics import MetricsRegistry
 
@@ -51,7 +52,7 @@ class Job:
     priority: int = 0
     #: Client id of the first submitter (fairness accounting).
     client: str = ""
-    retries: int = 2
+    retries: int = DEFAULT_RETRIES
     timeout_s: Optional[float] = None
     state: str = QUEUED
     attempts: int = 0
@@ -86,9 +87,10 @@ class JobQueue:
     """Priority + fairness ordered queue of :class:`Job` objects.
 
     ``metrics`` (optional) wires the queue into a
-    :class:`~repro.obs.metrics.MetricsRegistry`: push/cancel/
-    reprioritise counters, a live depth gauge, and the queue-wait
-    histogram observed at dequeue from the jobs' monotonic timestamps.
+    :class:`~repro.obs.metrics.MetricsRegistry`: a reprioritise counter,
+    a live depth gauge, and the queue-wait histogram observed at dequeue
+    from the jobs' monotonic timestamps (the scheduler counts pushes
+    and cancels as jobs created and cancelled).
     Without a registry every metric site is one ``is not None`` test.
     """
 
@@ -98,15 +100,8 @@ class JobQueue:
         #: Jobs each client has enqueued so far (fair_rank source).
         self._client_ranks: Dict[str, int] = {}
         self._queued = 0
-        self._pushes = self._cancels = self._moves = None
-        self._wait_hist = None
+        self._moves = self._wait_hist = None
         if metrics is not None:
-            self._pushes = metrics.counter(
-                "repro_queue_pushes_total",
-                "Jobs pushed onto the scheduling queue")
-            self._cancels = metrics.counter(
-                "repro_queue_cancelled_total",
-                "Queued jobs cancelled before running")
             self._moves = metrics.counter(
                 "repro_queue_reprioritized_total",
                 "Queued jobs moved to a more urgent priority band")
@@ -129,8 +124,6 @@ class JobQueue:
                                     next(self._arrival),
                                     job.queue_version, job))
         self._queued += 1
-        if self._pushes is not None:
-            self._pushes.inc()
 
     def reprioritize(self, job: Job, priority: int) -> bool:
         """Raise a queued job's urgency (lower value = earlier).
@@ -157,8 +150,6 @@ class JobQueue:
             return False
         job.state = CANCELLED
         self._queued -= 1
-        if self._cancels is not None:
-            self._cancels.inc()
         return True
 
     def pop(self) -> Optional[Job]:

@@ -19,7 +19,10 @@ and :class:`~repro.service.server.ReproServer` puts a TCP front on it
   threaded, long-lived server needs; ``"inline"`` runs
   :func:`repro.service.worker.run_job` in this process (no timeouts);
 * the **one retry/timeout loop** (:meth:`Scheduler._run_job`);
-* the ``job_*`` telemetry events and the job/worker metric families.
+* the ``job_*`` telemetry events and the job/worker metric families —
+  the one place job events are counted (``ExecutionReport`` and the
+  server's ``status`` counters read them back through
+  :class:`~repro.obs.metrics.MetricsView`).
 
 Subclasses see job lifecycle through three hooks: :meth:`_on_job_event`
 (``started`` / ``progress`` / ``timeline`` / ``retry``),
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..common.statistics import StatGroup
+from ..exec.batch import DEFAULT_RETRIES
 from ..exec.plan import RunSpec
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import EXEC_TID, EventTracer, new_trace_id
@@ -103,7 +106,6 @@ class Scheduler:
         self._wake = asyncio.Event()
         self._draining = False
         self._scheduler_task: Optional[asyncio.Task] = None
-        self.stats = StatGroup("server")
         self._register_job_metrics()
 
     def _register_job_metrics(self) -> None:
@@ -119,6 +121,10 @@ class Scheduler:
             "repro_jobs_store_answered_total",
             "Submissions answered from the result store",
             labels=("kind",))
+        self._m_jobs_simulated = m.counter(
+            "repro_jobs_simulated_total",
+            "Jobs whose result a worker simulated, by submit kind",
+            labels=("kind",))
         self._m_jobs_completed = m.counter(
             "repro_jobs_completed_total",
             "Jobs that finished with a result, by submit kind",
@@ -131,6 +137,9 @@ class Scheduler:
             "repro_jobs_cancelled_total",
             "Queued jobs cancelled after their last subscriber left",
             labels=("kind",))
+        self._m_internal_errors = m.counter(
+            "repro_internal_errors_total",
+            "Job tasks that died of a scheduler fault (a bug)")
         m.gauge("repro_workers_busy",
                 "Worker slots running a job right now").set_function(
             lambda: float(len(self._running)))
@@ -171,10 +180,6 @@ class Scheduler:
         if self.log is not None:
             self.log.event(name, **fields)
 
-    def count(self, name: str) -> int:
-        """Current value of one ``stats`` counter."""
-        return int(self.stats.as_dict().get(name, 0))  # type: ignore[arg-type]
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -212,7 +217,7 @@ class Scheduler:
     # ------------------------------------------------------------------
 
     def attach(self, spec: RunSpec, key: str, kind: str, client: str = "",
-               priority: int = 0, retries: int = 2,
+               priority: int = 0, retries: int = DEFAULT_RETRIES,
                timeout_s: Optional[float] = None,
                ) -> Tuple[str, Optional[Job], Optional[RunMetrics]]:
         """Route one spec; returns ``(source, job, stored)``.
@@ -225,13 +230,11 @@ class Scheduler:
         if self.use_store and key not in self._jobs:
             stored = self.store.load(key)
             if stored is not None:
-                self.stats.counter("store_answers").add()
                 self._m_store_answered.labels(kind).inc()
                 return protocol.SOURCE_STORE, None, stored
         job = self._jobs.get(key)
         if job is not None:
             self._queue.reprioritize(job, priority)
-            self.stats.counter("jobs_coalesced").add()
             self._m_jobs_coalesced.labels(kind).inc()
             return protocol.SOURCE_COALESCED, job, None
         job = Job(key=key, spec=spec, priority=priority, client=client,
@@ -240,7 +243,6 @@ class Scheduler:
                   created_mono=time.monotonic())
         self._jobs[key] = job
         self._queue.push(job)
-        self.stats.counter("jobs_created").add()
         self._m_jobs_created.labels(kind).inc()
         self._log("job_queued", key=key, spec=job.describe(),
                   priority=priority, client=client, trace=job.trace_id)
@@ -252,7 +254,6 @@ class Scheduler:
         if not self._queue.cancel(job):
             return False
         del self._jobs[job.key]
-        self.stats.counter("jobs_cancelled").add()
         self._m_jobs_cancelled.labels(job.kind).inc()
         self._log("job_cancelled", key=job.key, spec=job.describe(),
                   trace=job.trace_id)
@@ -283,7 +284,7 @@ class Scheduler:
         self._running.discard(task)
         if not task.cancelled() and task.exception() is not None:
             # A scheduler bug, not a worker failure: record loudly.
-            self.stats.counter("internal_errors").add()
+            self._m_internal_errors.inc()
             self._log("internal_error", error=repr(task.exception()))
         self._wake.set()
 
@@ -295,7 +296,6 @@ class Scheduler:
                 job.attempts = attempt + 1
                 self._m_attempts.inc()
                 if attempt:
-                    self.stats.counter("worker_retries").add()
                     self._m_retries.inc()
                     self._on_job_event(job, "retry", attempt=attempt,
                                        reason=failure)
@@ -303,14 +303,12 @@ class Scheduler:
                     failure = await asyncio.wait_for(
                         self._attempt(job, slot), timeout=job.timeout_s)
                 except asyncio.TimeoutError:
-                    self.stats.counter("worker_timeouts").add()
                     self._m_timeouts.inc()
                     failure = (f"timed out after {job.timeout_s}s "
                                f"(attempt {attempt + 1})")
                 if failure is None:
                     self._complete_job(job)
                     return
-                self.stats.counter("worker_failures").add()
                 self._m_worker_failures.inc()
                 self._log("job_failure", key=job.key, spec=job.describe(),
                           reason=failure, attempt=attempt,
@@ -381,7 +379,6 @@ class Scheduler:
                                refs_total=event.get("refs_total"),
                                attempt=job.attempts)
         elif kind == "window":
-            self.stats.counter("windows_streamed").add()
             self._m_windows.inc()
             self._on_job_event(job, "progress",
                                refs_done=event.get("refs_done"),
@@ -390,8 +387,8 @@ class Scheduler:
         elif kind == "worker_result":
             job.result = event.get("metrics")  # type: ignore[assignment]
             from_store = bool(event.get("from_store"))
-            self.stats.counter(
-                "store_answers" if from_store else "jobs_simulated").add()
+            (self._m_store_answered if from_store
+             else self._m_jobs_simulated).labels(job.kind).inc()
             self._log("job_result", key=job.key, spec=job.describe(),
                       wall_s=event.get("wall_s"), from_store=from_store,
                       worker=pid, attempt=job.attempts - 1,
@@ -531,7 +528,6 @@ class Scheduler:
     def _fail_job(self, job: Job, reason: Optional[str]) -> None:
         job.state = FAILED
         self._jobs.pop(job.key, None)
-        self.stats.counter("jobs_failed").add()
         self._m_jobs_failed.labels(job.kind).inc()
         self._trace_spans(job, time.monotonic(), ok=False)
         self._on_job_failed(job, f"{job.describe()}: {reason} "

@@ -38,6 +38,7 @@ from itertools import count
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..exec.plan import RunSpec
+from ..obs.metrics import MetricsView
 from ..obs.tracer import new_trace_id
 from . import protocol
 from .protocol import ProtocolError
@@ -136,10 +137,8 @@ class ReproServer(Scheduler):
         """Register the front's metric families (the scheduler owns the
         job and worker families).
 
-        Counters are incremented at the same sites as the ``stats``
-        tree; gauges read live server state through ``set_function``
-        at scrape time, so a scrape never needs the event loop's
-        cooperation.
+        Gauges read live server state through ``set_function`` at scrape
+        time, so a scrape never needs the event loop's cooperation.
         """
         m = self.metrics
         self._m_requests = m.counter(
@@ -212,13 +211,16 @@ class ReproServer(Scheduler):
     def status_dict(self) -> Dict[str, object]:
         """The ``status`` frame body: counters, queue, store, clients.
 
-        Rescans the store first: results are written by worker
-        subprocesses, so the in-process index is stale until a scan and
-        a status report should state what is actually on disk.
+        ``counters`` is a view of the metrics registry: every counter
+        family's total under its flat name (``repro_jobs_simulated_total``
+        reads as ``jobs_simulated``), so it cannot disagree with
+        ``/metrics``.  Rescans the store first: results are written by
+        worker subprocesses, so the in-process index is stale until a
+        scan and a status report should state what is actually on disk.
         """
         self.store.scan()
         return {
-            "counters": self.stats.as_dict(),
+            "counters": MetricsView(self.metrics.collect()).counters(),
             "queued": len(self._queue),
             "running": len(self._running),
             "clients": len(self._clients),
@@ -250,7 +252,6 @@ class ReproServer(Scheduler):
                              writer: asyncio.StreamWriter) -> None:
         client = ClientConn(f"c{next(self._client_ids)}", reader, writer)
         self._clients[client.id] = client
-        self.stats.counter("connections").add()
         self._m_connections.inc()
         self._log("client_connected", client=client.id)
         writer_task = asyncio.ensure_future(self._client_writer(client))
@@ -309,12 +310,10 @@ class ReproServer(Scheduler):
             frame = protocol.decode(line)
             op = protocol.validate_request(frame)
         except ProtocolError as error:
-            self.stats.counter("bad_frames").add()
             self._m_bad_frames.inc()
             client.send(protocol.event("error", None, message=str(error)))
             return
         req_id = frame["id"]
-        self.stats.counter("requests").add()
         self._m_requests.labels(op).inc()
         try:
             if op == "submit":
@@ -335,7 +334,6 @@ class ReproServer(Scheduler):
                 client.send(protocol.event("done", req_id, ok=True))
                 self.request_shutdown()
         except ProtocolError as error:
-            self.stats.counter("bad_frames").add()
             self._m_bad_frames.inc()
             client.send(protocol.event("error", req_id, message=str(error)))
             client.send(protocol.event("done", req_id, ok=False))
@@ -372,7 +370,6 @@ class ReproServer(Scheduler):
         attachments: List[Dict[str, object]] = []
         store_hits: List[Tuple[str, Dict[str, object], str]] = []
         for key, spec in unique:
-            self.stats.counter("specs_submitted").add()
             self._m_specs.labels(kind).inc()
             attachments.append(
                 self._attach_spec(request, spec, key, config, store_hits))
@@ -605,7 +602,6 @@ class ReproServer(Scheduler):
                              message=f"finalize failed: {error!r}")
                 request.send("done", ok=False)
                 return
-            self.stats.counter("finals").add()
             request.send("final", kind=request.kind,
                          elapsed_s=round(time.monotonic() - started, 3),
                          **final)

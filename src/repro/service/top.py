@@ -10,8 +10,9 @@ redraws with ANSI clear-screen.  Short per-metric histories drive
 timeline report uses.
 
 Everything here is pure rendering over the ``metrics`` op's JSON
-families; the snapshot/render split keeps it unit-testable without a
-terminal or a server.
+families, read through :class:`~repro.obs.metrics.MetricsView`; the
+snapshot/render split keeps it unit-testable without a terminal or a
+server.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import time
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
-from ..obs.metrics import quantile_from_buckets
+from ..obs.metrics import MetricsView, quantile_from_buckets
 from ..obs.render import aligned_table, format_number, sparkline
 from .client import ServiceClient, ServiceError
 
@@ -33,50 +34,14 @@ CLEAR = "\x1b[2J\x1b[H"
 #: The quantiles the latency table reports.
 QUANTILES = (0.5, 0.9, 0.99)
 
-
-def _parse_buckets(sample: Dict[str, object]) -> List[tuple]:
-    """A collect() histogram sample's buckets as ``(le, count)`` floats."""
-    out = []
-    for bound, count in sample.get("buckets") or []:  # type: ignore
-        out.append((float("inf") if bound == "+Inf" else float(bound),
-                    float(count)))
-    return out
-
-
-def _scalar(families: Dict[str, object], name: str,
-            labels: Optional[Dict[str, str]] = None) -> float:
-    """One counter/gauge value (summed across children unless pinned)."""
-    family = families.get(name)
-    if not isinstance(family, dict):
-        return 0.0
-    total = 0.0
-    for sample in family.get("samples") or []:  # type: ignore[union-attr]
-        if labels is not None and sample.get("labels") != labels:
-            continue
-        total += float(sample.get("value", 0.0))
-    return total
-
-
-def _by_label(families: Dict[str, object], name: str,
-              label: str) -> Dict[str, float]:
-    """A labelled counter family as ``{label_value: total}``."""
-    family = families.get(name)
-    out: Dict[str, float] = {}
-    if not isinstance(family, dict):
-        return out
-    for sample in family.get("samples") or []:  # type: ignore[union-attr]
-        value = str((sample.get("labels") or {}).get(label, ""))
-        out[value] = out.get(value, 0.0) + float(sample.get("value", 0.0))
-    return out
-
-
-def _histogram_sample(families: Dict[str, object],
-                      name: str) -> Optional[Dict[str, object]]:
-    family = families.get(name)
-    if not isinstance(family, dict):
-        return None
-    samples = family.get("samples") or []
-    return samples[0] if samples else None  # type: ignore[index]
+#: Per-kind job columns: ``--json`` key, screen header, counter family.
+JOB_COLUMNS = (
+    ("created", "created", "repro_jobs_created_total"),
+    ("coalesced", "coalesced", "repro_jobs_coalesced_total"),
+    ("store_answered", "store", "repro_jobs_store_answered_total"),
+    ("completed", "done", "repro_jobs_completed_total"),
+    ("failed", "failed", "repro_jobs_failed_total"),
+)
 
 
 class TopSnapshot:
@@ -84,14 +49,13 @@ class TopSnapshot:
 
     def __init__(self, status: Dict[str, object],
                  families: Dict[str, object]) -> None:
-        self.status = status
-        self.families = families
+        self.metrics = metrics = MetricsView(families)
         self.queued = float(status.get("queued", 0))
         self.running = float(status.get("running", 0))
         self.clients = float(status.get("clients", 0))
         self.draining = bool(status.get("draining", False))
         self.uptime_s = float(status.get("uptime_s", 0.0))
-        self.slots = _scalar(families, "repro_worker_slots") or 1.0
+        self.slots = metrics.total("repro_worker_slots") or 1.0
         store = status.get("store") or {}
         hits = float(store.get("hits", 0))  # type: ignore[union-attr]
         misses = float(store.get("misses", 0))  # type: ignore[union-attr]
@@ -99,15 +63,9 @@ class TopSnapshot:
         self.store_bytes = float(store.get("total_bytes", 0))  # type: ignore
         looked = hits + misses
         self.hit_rate = (hits / looked) if looked else 0.0
-        self.completed = _by_label(families, "repro_jobs_completed_total",
-                                   "kind")
-        self.failed = _by_label(families, "repro_jobs_failed_total", "kind")
-        self.created = _by_label(families, "repro_jobs_created_total",
-                                 "kind")
-        self.coalesced = _by_label(families, "repro_jobs_coalesced_total",
-                                   "kind")
-        self.store_answered = _by_label(
-            families, "repro_jobs_store_answered_total", "kind")
+        #: ``--json`` key -> ``{kind: total}`` (see :data:`JOB_COLUMNS`).
+        self.jobs = {key: metrics.by_label(family, "kind")
+                     for key, _header, family in JOB_COLUMNS}
 
     _LATENCY_FAMILIES = (
         ("repro_queue_wait_seconds", "queue wait"),
@@ -124,11 +82,10 @@ class TopSnapshot:
         """
         out = []
         for name, label in self._LATENCY_FAMILIES:
-            sample = _histogram_sample(self.families, name)
-            if sample is None:
+            histogram = self.metrics.histogram(name)
+            if histogram is None:
                 continue
-            buckets = _parse_buckets(sample)
-            count = int(sample.get("count", 0))
+            buckets, count = histogram
             quantiles: Dict[str, Optional[float]] = {}
             for q in QUANTILES:
                 value = quantile_from_buckets(buckets, q)
@@ -163,11 +120,7 @@ class TopSnapshot:
                       "hit_rate": self.hit_rate},
             "clients": int(self.clients),
             "uptime_s": self.uptime_s,
-            "jobs": {"created": self.created,
-                     "coalesced": self.coalesced,
-                     "store_answered": self.store_answered,
-                     "completed": self.completed,
-                     "failed": self.failed},
+            "jobs": self.jobs,
             "latency": self.latency_quantiles(),
         }
 
@@ -201,19 +154,13 @@ class TopDashboard:
             f"{format_number(snap.store_bytes)} B  {sparkline(list(hit))}",
             "",
         ]
-        kinds = sorted(set(snap.created) | set(snap.completed)
-                       | set(snap.failed) | set(snap.coalesced)
-                       | set(snap.store_answered))
+        kinds = sorted(set().union(*snap.jobs.values()))
         if kinds:
-            rows = [[kind or "?",
-                     format_number(snap.created.get(kind, 0.0)),
-                     format_number(snap.coalesced.get(kind, 0.0)),
-                     format_number(snap.store_answered.get(kind, 0.0)),
-                     format_number(snap.completed.get(kind, 0.0)),
-                     format_number(snap.failed.get(kind, 0.0))]
+            rows = [[kind or "?"] + [format_number(totals.get(kind, 0.0))
+                                     for totals in snap.jobs.values()]
                     for kind in kinds]
             lines.extend(aligned_table(
-                ["kind", "created", "coalesced", "store", "done", "failed"],
+                ["kind"] + [header for _key, header, _family in JOB_COLUMNS],
                 rows))
             lines.append("")
         latency = snap.latency_rows()

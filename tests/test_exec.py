@@ -111,6 +111,26 @@ class TestExecutor:
         report = execute([spec], jobs=1, use_cache=False)
         assert report.cache_hits == 0 and report.executed == 1
 
+    def test_worker_side_store_hit_is_a_cache_hit(self, monkeypatch):
+        """A result that lands in the store after attach missed is
+        answered by the worker's own lookup: a cache hit, not a run."""
+        from repro.service.scheduler import Scheduler
+
+        spec = RunSpec("libquantum", "standard", REFS)
+        metrics = spec.run(use_cache=False)
+        real_attach = Scheduler.attach
+
+        def attach_then_store(self, spec, key, *args, **kwargs):
+            routed = real_attach(self, spec, key, *args, **kwargs)
+            _store_cached(key, metrics)
+            return routed
+
+        monkeypatch.setattr(Scheduler, "attach", attach_then_store)
+        report = execute([spec], jobs=1)
+        assert report.executed == 0 and report.cache_hits == 1
+        assert report.done == report.total == 1
+        assert report.get(spec).to_dict() == metrics.to_dict()
+
 
 class TestAtomicCache:
     def test_partial_write_is_a_miss_and_heals(self, tmp_path):

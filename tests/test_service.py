@@ -147,16 +147,17 @@ class TestJobQueue:
         assert not queue.cancel(job)
 
     def test_metrics_wiring_counts_and_observes_wait(self):
-        from repro.obs.metrics import MetricsRegistry
+        from repro.service.scheduler import Scheduler
 
-        registry = MetricsRegistry()
-        queue = JobQueue(metrics=registry)
-        queue.push(_job("a"))
-        queue.push(_job("b"))
+        scheduler = Scheduler(jobs=1, use_store=False, workers="inline")
+        for seed in (1, 2):
+            spec = RunSpec("mcf", "das", 1000, seed)
+            scheduler.attach(spec, spec.cache_key(), "bench")
+        registry = scheduler.metrics
         rendered = registry.render()
-        assert "repro_queue_pushes_total 2" in rendered
+        assert 'repro_jobs_created_total{kind="bench"} 2' in rendered
         assert "repro_queue_depth 2" in rendered
-        popped = queue.pop()
+        popped = scheduler._queue.pop()
         assert popped.started_mono >= popped.enqueued_mono > 0
         rendered = registry.render()
         assert "repro_queue_depth 1" in rendered
@@ -285,7 +286,7 @@ def harness():
 
 
 def _counter(server: ReproServer, name: str) -> int:
-    return server.stats.as_dict().get(name, 0)
+    return server.status_dict()["counters"].get(name, 0)
 
 
 class TestServerEndToEnd:
@@ -480,6 +481,78 @@ class TestStatusOp:
         assert status["counters"]["jobs_created"] == 1
 
 
+class TestOneVocabulary:
+    """The ``status`` counters, ``repro top`` and the metrics frame are
+    views of one registry: each job or request event is counted once."""
+
+    def test_worker_side_store_hit_counts_as_a_store_answer(self, harness):
+        from repro.obs.metrics import MetricsView
+
+        spec = RunSpec("mcf", "das", REFS, 1)
+        metrics = spec.run(use_cache=False)
+        real_attach = harness.server.attach
+
+        def attach_then_store(spec, key, *args, **kwargs):
+            routed = real_attach(spec, key, *args, **kwargs)
+            get_store().store(key, metrics)  # lands before the worker looks
+            return routed
+
+        harness.server.attach = attach_then_store
+        with harness.client() as client:
+            outcome = client.submit_bench(spec)
+            counters = client.status()["counters"]
+            families = client.metrics()["families"]
+        assert list(outcome.sources.values()) == [protocol.SOURCE_NEW]
+        assert outcome.single_metrics() == metrics.to_dict()
+        assert counters["jobs_store_answered"] == 1
+        assert counters["jobs_simulated"] == 0
+        assert counters["jobs_completed"] == 1
+        # The metrics request is one request more than status saw.
+        assert MetricsView(families).counters() == {
+            **counters, "requests": counters["requests"] + 1}
+
+    def test_status_top_and_metrics_agree(self, harness):
+        from repro.obs.metrics import MetricsView, flat_name
+        from repro.service.top import JOB_COLUMNS, run_top
+
+        spec = RunSpec("mcf", "das", REFS, 1)
+        frame = {"op": "submit", "kind": "bench",
+                 "spec": protocol.spec_to_wire(spec)}
+        with harness.client() as client:
+            # Both frames arrive in one write, so the server reads the
+            # second before the first job can run: it coalesces.
+            client._file.write(protocol.encode({**frame, "id": "a"})
+                               + protocol.encode({**frame, "id": "b"}))
+            client._file.flush()
+            done = set()
+            while len(done) < 2:
+                line = client._file.readline()
+                assert line, "server closed the connection"
+                event = json.loads(line)
+                if event.get("event") == "done":
+                    done.add(event["id"])
+            assert client.submit_bench(spec).ok  # answered from the store
+            client._file.write(b"not json\n")
+            client._file.flush()
+            counters = client.status()["counters"]
+            families = client.metrics()["families"]
+        view = MetricsView(families)
+        assert view.counters() == {**counters,
+                                   "requests": counters["requests"] + 1}
+        assert counters["jobs_created"] == counters["jobs_coalesced"] == 1
+        assert counters["jobs_simulated"] == 1
+        assert counters["jobs_store_answered"] == 1
+        assert counters["bad_frames"] == 1
+        outputs = []
+        assert run_top("127.0.0.1", harness.port, iterations=1,
+                       clear=False, as_json=True, echo=outputs.append) == 0
+        jobs = json.loads(outputs[0])["jobs"]
+        assert set(jobs) == {column for column, _, _ in JOB_COLUMNS}
+        for column, _header, family in JOB_COLUMNS:
+            assert jobs[column] == view.by_label(family, "kind")
+            assert sum(jobs[column].values()) == counters[flat_name(family)]
+
+
 class TestMetricsOp:
     def test_metrics_frame_carries_exposition_and_families(self, harness):
         with harness.client() as client:
@@ -497,8 +570,8 @@ class TestMetricsOp:
         assert "repro_queue_wait_seconds_count 1" in exposition
         families = frame["families"]
         # Results are written by the worker subprocess, so the server's
-        # own store counts no stores — but the queue saw the push.
-        assert families["repro_queue_pushes_total"]["samples"][0]["value"] \
+        # own store counts no stores — but the scheduler created the job.
+        assert families["repro_jobs_created_total"]["samples"][0]["value"] \
             == 1
         assert families["repro_job_run_seconds"]["type"] == "histogram"
 
